@@ -9,6 +9,7 @@
 module Compiler = Chet.Compiler
 module Cost_model = Chet.Cost_model
 module Executor = Chet_runtime.Executor
+module Plan = Chet_runtime.Plan
 module Kernels = Chet_runtime.Kernels
 module Models = Chet_nn.Models
 module Circuit = Chet_nn.Circuit
@@ -542,9 +543,8 @@ let ablation () =
           let module H = (val sim : Hisa.S) in
           let module E = Executor.Make (H) in
           let image = Models.input_for spec ~seed:1 in
-          let meta = E.input_meta circuit ~kind:(kind_of circuit.Circuit.input) in
-          let enc = E.K.encrypt_tensor opts.Compiler.scales meta image in
-          ignore (E.run_encrypted_with opts.Compiler.scales circuit ~kind_of enc);
+          let plan = Chet_runtime.Plan.build_assigned ~slots:H.slots ~kind_of circuit in
+          ignore (E.run_prepared (E.prepare ~pt_budget:0 opts.Compiler.scales plan) image);
           clock.Sim.elapsed
         in
         let best_exhaustive = ref infinity in
@@ -631,15 +631,17 @@ let serve_bench () =
           points))
 
 (* ------------------------------------------------------------------ *)
-(* Compiled plans: latency + allocation vs the interpretive executor    *)
+(* Compiled plans: golden outputs, allocation and fusion counts          *)
 (* ------------------------------------------------------------------ *)
 
 (* The DESIGN.md §14 regression gate, measured: every paper model on the
-   cleartext backend at the compiled ring dimension, interpretive vs plan.
-   Outputs must be bit-identical; the plan must allocate less (arena reuse,
-   prepare-once plaintexts, fused accumulation) and be no slower. *)
+   cleartext backend at the compiled ring dimension, through a prepared
+   plan. Outputs must match the recorded goldens bit for bit
+   (test/data/plan_models.golden); the table reports the steady
+   per-inference time, allocation, arena and fusion counts. *)
 let plan_bench () =
-  print_endline "\n===== Compiled plans vs interpretive executor =====";
+  print_endline "\n===== Compiled plans: golden outputs =====";
+  let goldens = Golden.load "test/data/plan_models.golden" in
   let alloc_words f =
     let s0 = Gc.quick_stat () in
     let r = f () in
@@ -651,71 +653,50 @@ let plan_bench () =
   let rows =
     List.map
       (fun (spec : Models.spec) ->
-        let circuit = spec.Models.build () in
         let compiled = Workloads.compiled_for Compiler.Seal spec in
         let opts = compiled.Compiler.opts in
         let scheme = Compiler.scheme_of_params opts compiled.Compiler.params in
         let slots = Compiler.params_n compiled.Compiler.params / 2 in
-        let backend () =
-          Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false }
-        in
-        let module H = (val backend () : Hisa.S) in
+        let backend = Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false } in
+        let module H = (val backend : Hisa.S) in
         let module E = Executor.Make (H) in
-        let module PE = Chet_plan.Plan_exec.Make (H) in
         let image = Models.input_for spec ~seed:7 in
-        let policy = compiled.Compiler.policy in
-        (* warm both paths once (layout assignment, plan prepare), then
-           measure the steady per-inference state serving cares about *)
-        let interp () = E.run opts.Compiler.scales circuit ~policy image in
-        ignore (interp ());
-        let interp_out, interp_words = alloc_words interp in
-        let _, interp_s = time_once interp in
+        (* warm once (prepare, first-run memo tables), then measure the
+           steady per-inference state serving cares about *)
         let p = Compiler.plan compiled in
-        let prepared = PE.prepare opts.Compiler.scales p in
-        let planned () = PE.run prepared image in
+        let prepared = E.prepare ~pt_budget:Executor.default_pt_budget opts.Compiler.scales p in
+        let planned () = E.run_prepared prepared image in
         ignore (planned ());
         let plan_out, plan_words = alloc_words planned in
         let _, plan_s = time_once planned in
-        if interp_out.T.data <> plan_out.T.data then
-          failwith (spec.Models.model_name ^ ": plan output is not bit-identical");
-        let ratio = interp_words /. Float.max 1.0 plan_words in
+        (match Golden.check goldens (Golden.model_key spec) plan_out with
+        | Ok () -> ()
+        | Error e -> failwith ("plan output does not match its golden: " ^ e));
         points :=
           Jsonx.Obj
             [
               ("model", Jsonx.Str spec.Models.model_name);
-              ("interp_seconds", Jsonx.Num interp_s);
               ("plan_seconds", Jsonx.Num plan_s);
-              ("interp_alloc_words", Jsonx.Num interp_words);
               ("plan_alloc_words", Jsonx.Num plan_words);
-              ("alloc_ratio", Jsonx.Num ratio);
-              ("arena_slots", Jsonx.Num (float_of_int p.Chet_plan.Plan.p_arena));
-              ("steps", Jsonx.Num (float_of_int (Array.length p.Chet_plan.Plan.p_steps)));
-              ( "fused_mul_rescale",
-                Jsonx.Num (float_of_int p.Chet_plan.Plan.p_stats.Chet_plan.Plan.fused_mul_rescale)
-              );
-              ( "fused_rot_acc",
-                Jsonx.Num (float_of_int p.Chet_plan.Plan.p_stats.Chet_plan.Plan.fused_rot_acc) );
-              ( "fused_mul_acc",
-                Jsonx.Num (float_of_int p.Chet_plan.Plan.p_stats.Chet_plan.Plan.fused_mul_acc) );
-              ("bit_identical", Jsonx.Bool true);
+              ("arena_slots", Jsonx.Num (float_of_int p.Plan.p_arena));
+              ("steps", Jsonx.Num (float_of_int (Array.length p.Plan.p_steps)));
+              ("fused_mul_rescale", Jsonx.Num (float_of_int p.Plan.p_stats.Plan.fused_mul_rescale));
+              ("fused_rot_acc", Jsonx.Num (float_of_int p.Plan.p_stats.Plan.fused_rot_acc));
+              ("fused_mul_acc", Jsonx.Num (float_of_int p.Plan.p_stats.Plan.fused_mul_acc));
+              ("golden_match", Jsonx.Bool true);
             ]
           :: !points;
         [
           spec.Models.model_name;
-          fmt_seconds interp_s;
           fmt_seconds plan_s;
-          Printf.sprintf "%.2fx" (interp_s /. Float.max 1e-9 plan_s);
-          Printf.sprintf "%.1f" (interp_words /. 1e6);
           Printf.sprintf "%.1f" (plan_words /. 1e6);
-          Printf.sprintf "%.1fx" ratio;
-          string_of_int p.Chet_plan.Plan.p_arena;
+          string_of_int p.Plan.p_arena;
           "yes";
         ])
       (networks ())
   in
   print_table ~title:"per-inference, cleartext backend at compiled N"
-    ~headers:
-      [ "network"; "interp s"; "plan s"; "speedup"; "interp Mw"; "plan Mw"; "alloc"; "arena"; "bit-id" ]
+    ~headers:[ "network"; "plan s"; "plan Mw"; "arena"; "golden" ]
     rows;
   add_json "plan" (Jsonx.Arr (List.rev !points))
 

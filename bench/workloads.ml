@@ -167,7 +167,6 @@ let serve_sweep ?(domains = 2) ?(burst = 48) ~high_waters () =
       dep_backend =
         (fun ~req_seed:_ ~attempt:_ ->
           Clear.make { Clear.slots; scheme; strict_modulus = false; encode_noise = false });
-      dep_plan = None;
       dep_sentinel = None;
       dep_twin = false;
     }

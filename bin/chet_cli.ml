@@ -14,6 +14,7 @@ module Compiler = Chet.Compiler
 module Scale_select = Chet.Scale_select
 module Integrity = Chet.Integrity
 module Executor = Chet_runtime.Executor
+module Plan = Chet_runtime.Plan
 module Models = Chet_nn.Models
 module Circuit = Chet_nn.Circuit
 module Opcount = Chet_nn.Opcount
@@ -238,21 +239,6 @@ let run_cmd =
              typed FHE error instead of a garbage prediction.")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Synthetic image seed.") in
-  let plan_arg =
-    Arg.(
-      value & flag
-      & info [ "plan" ]
-          ~doc:
-            "Execute through the compiled plan (DESIGN.md §14): the circuit lowered once into a \
-             scheduled arena program with fused kernels, then replayed. Outputs are bit-identical \
-             to the interpretive executor.")
-  in
-  let no_plan_arg =
-    Arg.(
-      value & flag
-      & info [ "no-plan" ]
-          ~doc:"Force the interpretive executor (the default) — the --plan escape hatch.")
-  in
   let trace_arg =
     Arg.(
       value
@@ -270,12 +256,9 @@ let run_cmd =
           ~doc:
             "Verify the answer end-to-end with sentinel slots (DESIGN.md §16): a known probe \
              rides the twin lane through the whole circuit and is checked against the clear \
-             reference at decrypt. Forces the interpretive executor.")
+             reference at decrypt.")
   in
-  let run () model target real checked want_sentinel seed plan no_plan trace cost_file =
-    let use_plan = plan && not no_plan && not want_sentinel in
-    if plan && want_sentinel then
-      Printf.eprintf "chet: --plan: --sentinel forces the interpretive executor\n";
+  let run () model target real checked want_sentinel seed trace cost_file =
     let spec = lookup_model model in
     let circuit = spec.Models.build () in
     let base_opts = apply_cost_file (Compiler.default_options ~target ()) target cost_file in
@@ -290,26 +273,19 @@ let run_cmd =
     let timer = Timed_backend.create () in
     Tracer.set_global tracer;
     let wrap b = if trace = None then b else Timed_backend.wrap timer b in
-    let the_plan = if use_plan then Some (Compiler.plan compiled) else None in
-    Option.iter (fun p -> Printf.printf "plan: %s\n" (Chet_plan.Plan.summary p)) the_plan;
+    let the_plan = Compiler.plan compiled in
+    Printf.printf "plan: %s\n" (Plan.summary the_plan);
     let isp = if want_sentinel then Some (Integrity.spec_for circuit) else None in
     let margin = ref Float.nan in
     let run_with (backend : Hisa.t) =
       let module H = (val wrap backend) in
-      match the_plan with
-      | Some p ->
-          let module PE = Chet_plan.Plan_exec.Make (H) in
-          PE.run (PE.prepare opts.Compiler.scales p) image
-      | None ->
-          let module E = Executor.Make (H) in
-          let sentinel =
-            Option.map
-              (fun sp ->
-                Integrity.sentinel ~observe:(fun t -> margin := Integrity.margin_bits sp t) sp)
-              isp
-          in
-          E.run ?sentinel ~twin:want_sentinel opts.Compiler.scales circuit
-            ~policy:compiled.Compiler.policy image
+      let module E = Executor.Make (H) in
+      let sentinel =
+        Option.map
+          (fun sp -> Integrity.sentinel ~observe:(fun t -> margin := Integrity.margin_bits sp t) sp)
+          isp
+      in
+      E.run_prepared ?sentinel (E.prepare ~pt_budget:0 opts.Compiler.scales the_plan) image
     in
     let finally () = Tracer.set_global None in
     let got, latency =
@@ -338,7 +314,9 @@ let run_cmd =
                         | Compiler.Heaan -> Cost_model.heaan ()));
                 }
             in
-            (run_with backend, clock.Sim.elapsed)
+            (* bind the result first: the clock only advances during the run *)
+            let r = run_with backend in
+            (r, clock.Sim.elapsed)
           end)
     in
     (match trace, tracer with
@@ -359,7 +337,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run one encrypted inference")
     Term.(
       const run $ kernel_term $ model_arg $ target_arg $ real_arg $ checked_arg $ sentinel_arg
-      $ seed_arg $ plan_arg $ no_plan_arg $ trace_arg $ cost_file_arg)
+      $ seed_arg $ trace_arg $ cost_file_arg)
 
 let scales_cmd =
   let tol_arg = Arg.(value & opt float 0.05 & info [ "tolerance" ] ~doc:"Output tolerance.") in
@@ -584,24 +562,9 @@ let serve_cmd =
             "Verify every answer end-to-end with sentinel slots (DESIGN.md §16): a known probe \
              rides the interleaved twin lane through the whole circuit and is checked against \
              the clear reference before the answer is released. Mismatches surface as typed \
-             Integrity_violation. Forces the interpretive executor.")
+             Integrity_violation.")
   in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Key-generation seed (--real).") in
-  let plan_arg =
-    Arg.(
-      value & flag
-      & info [ "plan" ]
-          ~doc:
-            "Serve the primary rung through the compiled execution plan (DESIGN.md §14): one \
-             prepared arena executor per worker domain, bit-identical answers to the \
-             interpretive path. Degraded rungs stay interpretive.")
-  in
-  let no_plan_arg =
-    Arg.(
-      value & flag
-      & info [ "no-plan" ]
-          ~doc:"Force the interpretive executor on every rung (the default) — the --plan escape hatch.")
-  in
   let metrics_arg =
     Arg.(
       value & flag
@@ -620,8 +583,7 @@ let serve_cmd =
              shutdown.")
   in
   let run () model target requests domains queue_hw deadline_ms tight_every fault real
-      want_sentinel seed plan no_plan metrics_dump state_dir interarrival_ms =
-    let use_plan = plan && not no_plan in
+      want_sentinel seed metrics_dump state_dir interarrival_ms =
     let spec = lookup_model model in
     let circuit = spec.Models.build () in
     let sentinel = if want_sentinel then Some (Integrity.spec_for circuit) else None in
@@ -679,6 +641,7 @@ let serve_cmd =
           compiled
     in
     Format.printf "%a@." Compiler.pp_compiled compiled;
+    Printf.printf "plan: %s\n" (Plan.summary (Compiler.plan compiled));
     let opts = compiled.Compiler.opts in
     let scheme = Compiler.scheme_of_params opts compiled.Compiler.params in
     let slots = Compiler.params_n compiled.Compiler.params / 2 in
@@ -694,22 +657,9 @@ let serve_cmd =
             let factory, _scheme =
               Bundle.restore_factory l.Bundle.l_bundle ~with_secret:true
             in
-            let plan_runner =
-              if not use_plan then None
-              else
-                match Bundle.restore_plan_runner l.Bundle.l_bundle ~with_secret:true with
-                | Some (runner, _) -> Some runner
-                | None ->
-                    Printf.eprintf
-                      "chet: --plan: bundle has no PLAN frame; serving interpretive\n";
-                    None
-            in
-            Service.ladder_of_factory compiled ~factory ~predict_cost:true ?plan:plan_runner
-              ?sentinel ()
+            Service.ladder_of_factory compiled ~factory ~predict_cost:true ?sentinel ()
         | None ->
-            Service.ladder_of_compiled compiled ~seed ~with_secret:true ~predict_cost:true
-              ?plan:(if use_plan then Some (Compiler.plan compiled) else None)
-              ?sentinel ()
+            Service.ladder_of_compiled compiled ~seed ~with_secret:true ~predict_cost:true ?sentinel ()
       else begin
         (* cleartext twin of the deployment ladder: same circuit, policy and
            scales, with seeded fault injection on the primary rung so the
@@ -728,45 +678,6 @@ let serve_cmd =
               let faulty, _log = Fault.wrap (Fault.default_config ~seed:req_seed (Some f)) (clear ()) in
               Checked.wrap ~scheme faulty
         in
-        let primary_plan =
-          if not use_plan then None
-          else if want_sentinel then begin
-            (* the plan compiles the untwinned layout; sentinels need the
-               doubled strides, so verified serving stays interpretive *)
-            Printf.eprintf "chet: --plan: --sentinel forces interpretive serving\n";
-            None
-          end
-          else if fault <> `None then begin
-            (* fault injection wraps the interpretive backend view; a plan
-               rung would route around it, so it wins and plans are off *)
-            Printf.eprintf
-              "chet: --plan: --fault targets the interpretive backend; serving interpretive\n";
-            None
-          end
-          else begin
-            let p = Compiler.plan compiled in
-            Printf.printf "plan: %s\n" (Chet_plan.Plan.summary p);
-            let module H = (val clear () : Hisa.S) in
-            let module PE = Chet_plan.Plan_exec.Make (H) in
-            let mu = Mutex.create () in
-            let workers : (int, PE.prepared) Hashtbl.t = Hashtbl.create 8 in
-            Some
-              (fun ~cancel ~worker ~req_seed:_ ~attempt:_ image ->
-                (* the cleartext backend ignores the request seed (no
-                   encryption randomness), so plan answers match the
-                   interpretive rung exactly *)
-                let prepared =
-                  Mutex.protect mu (fun () ->
-                      match Hashtbl.find_opt workers worker with
-                      | Some pr -> pr
-                      | None ->
-                          let pr = PE.prepare opts.Compiler.scales p in
-                          Hashtbl.add workers worker pr;
-                          pr)
-                in
-                PE.run ~cancel prepared image)
-          end
-        in
         let twin = sentinel <> None in
         [
           {
@@ -776,7 +687,6 @@ let serve_cmd =
             dep_policy = compiled.Compiler.policy;
             dep_cost_ms = None;
             dep_backend = primary_backend;
-            dep_plan = (if twin then None else primary_plan);
             dep_sentinel = sentinel;
             dep_twin = twin;
           };
@@ -787,7 +697,6 @@ let serve_cmd =
             dep_policy = compiled.Compiler.policy;
             dep_cost_ms = None;
             dep_backend = (fun ~req_seed:_ ~attempt:_ -> clear ());
-            dep_plan = None;
             dep_sentinel = sentinel;
             dep_twin = twin;
           };
@@ -887,7 +796,7 @@ let serve_cmd =
     Term.(
       const run $ kernel_term_serve $ model_arg $ target_arg $ requests_arg $ domains_arg
       $ queue_arg $ deadline_arg
-      $ tight_arg $ fault_arg $ real_arg $ sentinel_arg $ seed_arg $ plan_arg $ no_plan_arg
+      $ tight_arg $ fault_arg $ real_arg $ sentinel_arg $ seed_arg
       $ metrics_arg $ state_dir_arg $ interarrival_arg)
 
 (* --- chet store: inspect and maintain a deployment store ---------------- *)
@@ -1105,7 +1014,6 @@ let shard_worker_cmd =
           dep_policy = compiled.Compiler.policy;
           dep_cost_ms = None;
           dep_backend = primary_backend;
-          dep_plan = None;
           dep_sentinel = sentinel;
           dep_twin = want_sentinel;
         };
@@ -1116,7 +1024,6 @@ let shard_worker_cmd =
           dep_policy = compiled.Compiler.policy;
           dep_cost_ms = None;
           dep_backend = fallback_backend;
-          dep_plan = None;
           dep_sentinel = sentinel;
           dep_twin = want_sentinel;
         };

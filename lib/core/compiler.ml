@@ -12,6 +12,7 @@ module Tensor = Chet_tensor.Tensor
 module Kernels = Chet_runtime.Kernels
 module Layout = Chet_runtime.Layout
 module Executor = Chet_runtime.Executor
+module Plan = Chet_runtime.Plan
 
 type target = Seal | Heaan
 type security = Standard of Security.level | Legacy_heaan
@@ -102,22 +103,21 @@ let zero_image circuit =
   | [| c; h; w |] -> Tensor.create [| c; h; w |]
   | shape -> Tensor.create shape
 
-(* Execute the circuit through a backend and hand back the output tensor's
-   first ciphertext observations. Raises [Herr.Fhe_error (Slot_overflow _, _)]
-   when the layout does not fit [slots] — callers treat that as "N too
-   small". *)
-let run_through (backend : Hisa.t) opts circuit ~policy =
+(* Execute the circuit's plan through a backend and hand back the output
+   tensor's first ciphertext observations. Raises
+   [Herr.Fhe_error (Slot_overflow _, _)] when the layout does not fit
+   [slots] — callers treat that as "N too small".
 
+   Sentinel deployments execute on the interleaved twin layout, so every
+   analysis pass sees that geometry: its extents (parameter selection), its
+   op mix (cost), and its doubled rotation amounts (rotation-key
+   selection). *)
+let run_through (backend : Hisa.t) opts circuit ~policy =
   let module H = (val backend) in
   let module E = Executor.Make (H) in
-  let kind_of = Executor.assign policy circuit in
-  (* sentinel deployments execute on the interleaved twin layout, so every
-     analysis pass must see that geometry: its extents (parameter
-     selection), its op mix (cost), and its doubled rotation amounts
-     (rotation-key selection) *)
-  let meta = E.input_meta ~twin:opts.sentinel circuit ~kind:(kind_of circuit.Circuit.input) in
-  let enc = E.K.encrypt_tensor opts.scales meta (zero_image circuit) in
-  let out = E.run_encrypted opts.scales circuit ~policy enc in
+  let plan = Plan.build ~twin:opts.sentinel ~slots:H.slots ~policy circuit in
+  let enc = E.K.encrypt_tensor opts.scales plan.Plan.p_input_meta (zero_image circuit) in
+  let out = E.run_once_encrypted opts.scales plan enc in
   (H.scale_of out.E.K.cts.(0), H.env_of out.E.K.cts.(0))
 
 (* ------------------------------------------------------------------ *)
@@ -423,19 +423,6 @@ module Serial = Chet_crypto.Serial
    surfaces as a typed [Serial.Corrupt], never a misparse. *)
 let compiled_version = 2
 
-let int_of_policy = function
-  | Executor.All_hw -> 0
-  | Executor.All_chw -> 1
-  | Executor.Hw_conv_chw_rest -> 2
-  | Executor.Chw_fc_hw_before -> 3
-
-let policy_of_int = function
-  | 0 -> Executor.All_hw
-  | 1 -> Executor.All_chw
-  | 2 -> Executor.Hw_conv_chw_rest
-  | 3 -> Executor.Chw_fc_hw_before
-  | n -> raise (Serial.Corrupt (Printf.sprintf "bad layout policy %d" n))
-
 let write_params w = function
   | Rns_params { n; prime_bits; num_primes; log_q } ->
       Serial.write_int w 0;
@@ -503,7 +490,7 @@ let write_compiled w c =
       Serial.write_int w c.opts.scales.Kernels.pm;
       Serial.write_int w c.opts.max_n;
       Serial.write_int w (if c.opts.sentinel then 1 else 0);
-      Serial.write_int w (int_of_policy c.policy);
+      Serial.write_int w (Plan.policy_tag c.policy);
       write_params w c.params;
       write_counted_pairs w c.rotations;
       let k = c.op_counters in
@@ -519,7 +506,7 @@ let write_compiled w c =
       Serial.write_int w (List.length c.reports);
       List.iter
         (fun rp ->
-          Serial.write_int w (int_of_policy rp.pr_policy);
+          Serial.write_int w (Plan.policy_tag rp.pr_policy);
           write_params w rp.pr_params;
           Serial.write_float w rp.pr_cost)
         c.reports)
@@ -575,7 +562,7 @@ let read_compiled ~circuit r =
           sentinel;
         }
       in
-      let policy = policy_of_int (Serial.read_int r) in
+      let policy = Plan.policy_of_tag (Serial.read_int r) in
       let params = read_params r in
       let rotations = read_counted_pairs r in
       let k = Instrument.fresh_counters () in
@@ -596,7 +583,7 @@ let read_compiled ~circuit r =
       if nreports < 0 || nreports > 64 then raise (Serial.Corrupt "bad report count");
       let reports =
         List.init nreports (fun _ ->
-            let pr_policy = policy_of_int (Serial.read_int r) in
+            let pr_policy = Plan.policy_of_tag (Serial.read_int r) in
             let pr_params = read_params r in
             let pr_cost = Serial.read_float r in
             { pr_policy; pr_params; pr_cost })
@@ -642,23 +629,21 @@ let instantiate_factory_restored compiled ~seed ?(rotation_keys = Selected_keys)
 (* Compiled execution plans (DESIGN.md §14)                            *)
 (* ------------------------------------------------------------------ *)
 
-module Plan = Chet_plan.Plan
-
 (* Compile the chosen policy into an executable plan at the compiled ring
-   dimension. Pure metadata — no keys, no ciphertexts — so this runs at
-   compile/bundle time and serialises into the Bundle's PLAN frame. A
-   zero-budget prepare against the shape backend fills in the static fusion
-   counts (they are the same for every backend) without encoding a single
-   plaintext. *)
+   dimension (on the twin layout for a sentinel deployment). Pure metadata —
+   no keys, no ciphertexts — so this runs at compile/bundle time and
+   serialises into the Bundle's PLAN frame. A zero-budget prepare against
+   the shape backend fills in the static fusion counts (they are the same
+   for every backend) without encoding a single plaintext. *)
 let plan compiled =
   let slots = params_n compiled.params / 2 in
-  let p = Plan.build ~slots ~policy:compiled.policy compiled.circuit in
+  let p = Plan.build ~twin:compiled.opts.sentinel ~slots ~policy:compiled.policy compiled.circuit in
   let shape =
     Shape.make { Shape.slots; scheme = scheme_of_params compiled.opts compiled.params }
   in
   let module H = (val shape : Hisa.S) in
-  let module PE = Chet_plan.Plan_exec.Make (H) in
-  ignore (PE.prepare ~pt_budget:0 compiled.opts.scales p);
+  let module E = Executor.Make (H) in
+  ignore (E.prepare ~pt_budget:0 compiled.opts.scales p);
   p
 
 type plan_runner = ?cancel:Chet_hisa.Cancel.t -> worker:int -> req_seed:int -> Tensor.t -> Tensor.t
@@ -667,12 +652,12 @@ type plan_runner = ?cancel:Chet_hisa.Cancel.t -> worker:int -> req_seed:int -> T
    worker's first request. The worker's backend view owns a single sampler
    that is re-pointed (Sampling.reseed) at the request's derived seed before
    each run, which restarts exactly the stream a fresh per-request backend
-   would draw — so results stay bit-identical to the interpretive
+   would draw — so results stay bit-identical to a one-shot run on the
    [backend_factory] path while the crypto context, staged kernels and
-   encoded plaintexts are reused across requests instead of being re-derived
-   per inference. *)
+   encoded plaintexts (up to [Executor.default_pt_budget] of them) are
+   reused across requests instead of being re-derived per inference. *)
 let instantiate_plan_runner compiled ~plan:the_plan ~seed ?(rotation_keys = Selected_keys)
-    ?(pt_budget = 1024) ?keys:keys_bytes ~with_secret () : plan_runner * Hisa.scheme_kind =
+    ?keys:keys_bytes ~with_secret () : plan_runner * Hisa.scheme_kind =
   let keys_bytes =
     match (compiled.params, keys_bytes) with Rns_params _, Some b -> Some b | _ -> None
   in
@@ -686,11 +671,11 @@ let instantiate_plan_runner compiled ~plan:the_plan ~seed ?(rotation_keys = Sele
     let rng = Chet_crypto.Sampling.create ~seed in
     let backend = view rng in
     let module H = (val backend : Hisa.S) in
-    let module PE = Chet_plan.Plan_exec.Make (H) in
-    let prepared = PE.prepare ~pt_budget compiled.opts.scales the_plan in
+    let module E = Executor.Make (H) in
+    let prepared = E.prepare ~pt_budget:Executor.default_pt_budget compiled.opts.scales the_plan in
     fun ?cancel ~req_seed image ->
       Chet_crypto.Sampling.reseed rng ~seed:(request_seed ~seed ~req_seed);
-      PE.run ?cancel prepared image
+      E.run_prepared ?cancel prepared image
   in
   let runner ?cancel ~worker ~req_seed image =
     let w =

@@ -3,8 +3,9 @@
     cheapest data layout under the scheme's cost model (§5.3), and the
     rotation keys the circuit actually uses (§5.4).
 
-    Every pass executes the homomorphic tensor circuit under a different
-    interpretation of the HISA (§5.1): parameter selection observes modulus
+    Every pass executes the circuit's compiled plan under a different
+    interpretation of the HISA (§5.1) — the same plan executor that
+    deploys: parameter selection observes modulus
     consumption through {!Chet_hisa.Clear_backend}, cost estimation runs
     {!Chet_hisa.Sim_backend} with the target's cost model, and rotation-key
     selection records rotations with {!Chet_hisa.Instrument}. *)
@@ -166,16 +167,16 @@ val instantiate_factory_restored :
 
 (** {1 Compiled execution plans}
 
-    The plan path (DESIGN.md §14): the compiled circuit lowered once into an
-    explicit schedule over a ciphertext arena ({!Chet_plan.Plan}), then
-    executed through prepare-once staged kernels with fused HISA dispatch.
-    Outputs are bit-identical to the interpretive executor; what changes is
-    per-request work — no layout re-derivation, no plaintext re-encoding,
-    one ciphertext allocation per accumulation step. *)
+    Every circuit runs as a plan (DESIGN.md §14): lowered once into an
+    explicit schedule over a ciphertext arena ({!Chet_runtime.Plan}), then
+    executed through staged kernels with fused HISA dispatch. A deployment
+    that keeps its prepared plan across requests also keeps its encoded
+    weight and mask plaintexts. *)
 
-val plan : compiled -> Chet_plan.Plan.t
+val plan : compiled -> Chet_runtime.Plan.t
 (** Lower the compiled policy into an executable plan at the compiled ring
-    dimension. Pure metadata (no keys or ciphertexts); serialises into the
+    dimension, on the twin layout when the deployment was compiled with
+    [sentinel]. Pure metadata (no keys or ciphertexts); serialises into the
     {!Chet_store.Bundle} PLAN frame. *)
 
 type plan_runner =
@@ -187,13 +188,13 @@ type plan_runner =
     workers may. *)
 
 val instantiate_plan_runner :
-  compiled -> plan:Chet_plan.Plan.t -> seed:int -> ?rotation_keys:rotation_key_policy ->
-  ?pt_budget:int -> ?keys:string -> with_secret:bool -> unit -> plan_runner * Hisa.scheme_kind
+  compiled -> plan:Chet_runtime.Plan.t -> seed:int -> ?rotation_keys:rotation_key_policy ->
+  ?keys:string -> with_secret:bool -> unit -> plan_runner * Hisa.scheme_kind
 (** Key generation once (or loaded from a {!export_keys} payload via
     [?keys], as in {!instantiate_factory_restored}), one prepared executor
     per worker after that. Per-worker samplers are re-seeded to
     [request_seed seed req_seed] before each run, so results are
-    bit-identical to {!instantiate_factory}'s per-request backends.
-    [pt_budget] bounds how many weight/mask plaintexts each worker keeps
-    encoded in memory (default 1024); beyond it, staged kernels fall back to
-    per-inference encoding. *)
+    bit-identical to a one-shot run on {!instantiate_factory}'s per-request
+    backends. Each worker keeps up to
+    {!Chet_runtime.Executor.default_pt_budget} weight/mask plaintexts
+    encoded; beyond it, kernels encode per inference. *)

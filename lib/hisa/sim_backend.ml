@@ -101,7 +101,7 @@ let make_over (inner : Hisa.t) (cfg : config) : Hisa.t * clock =
         { c with ict = Inner.mul_scalar c.ict x ~scale }
 
       (* fused ops charge both component costs so the simulated clock stays
-         comparable whether a circuit runs fused or interpretive *)
+         comparable whether a kernel uses the fused op or its components *)
       let fma_scalar acc x w ~scale =
         let budget = budget_min acc.budget x.budget in
         tick cfg.costs.Hisa.cm_scalar_mul x.budget;

@@ -1,7 +1,19 @@
-(* Executes a tensor circuit against a HISA backend with a concrete layout
-   assignment — the runtime half of CHET. The compiler (lib/core) calls this
-   executor with analysis backends to "dynamically unroll the data-flow graph
-   on the fly" (§5.1); deployment calls it with a real scheme backend. *)
+(* The plan executor — the runtime half of CHET and the only way a circuit
+   executes. The compiler (lib/core) runs it with analysis backends to
+   "dynamically unroll the data-flow graph on the fly" (§5.1); deployment
+   runs it with a real scheme backend. Either way the circuit is lowered to
+   a {!Plan.t}, prepared against the backend, and replayed.
+
+   [prepare] is the per-deployment half: it walks the schedule once,
+   building a staged closure per step through the kernels of
+   {!Kernels.Make} — weight and mask plaintexts encoded up front under a
+   plaintext budget, geometry and shape checks done. [run_encrypted]
+   replays the closures over a fixed ciphertext arena; released slots are
+   dropped immediately, so live ciphertext memory is bounded by the arena
+   high-water mark instead of the circuit size. One-shot runs ([run]: the
+   analysis passes, every serving attempt) stage each step with a zero
+   plaintext budget just before it runs, so every plaintext is encoded at
+   its use, once per run. *)
 
 module Hisa = Chet_hisa.Hisa
 module Herr = Chet_hisa.Herr
@@ -9,103 +21,20 @@ module Cancel = Chet_hisa.Cancel
 module Circuit = Chet_nn.Circuit
 module Tensor = Chet_tensor.Tensor
 module Tracer = Chet_obs.Tracer
+module Metrics = Chet_obs.Metrics
 
-(* Human description of a node for error context ("which layer broke"). *)
-let op_name (node : Circuit.node) =
-  match node.Circuit.op with
-  | Circuit.Input { name; _ } -> Printf.sprintf "input %S" name
-  | Circuit.Conv2d { weights; stride; _ } ->
-      Printf.sprintf "conv2d %dx%d/%d" weights.Tensor.shape.(2) weights.Tensor.shape.(3) stride
-  | Circuit.MatMul { weights; _ } -> Printf.sprintf "matmul ->%d" weights.Tensor.shape.(0)
-  | Circuit.AvgPool { ksize; stride; _ } -> Printf.sprintf "avg_pool %dx%d/%d" ksize ksize stride
-  | Circuit.GlobalAvgPool _ -> "global_avg_pool"
-  | Circuit.PolyAct _ -> "poly_act"
-  | Circuit.Square _ -> "square"
-  | Circuit.BatchNorm _ -> "batch_norm"
-  | Circuit.Flatten _ -> "flatten"
-  | Circuit.Concat _ -> "concat"
-  | Circuit.Residual _ -> "residual"
-
-(* The four pruned layout policies of §5.3. *)
-type layout_policy =
+type layout_policy = Plan.layout_policy =
   | All_hw
   | All_chw
   | Hw_conv_chw_rest
   | Chw_fc_hw_before
 
-let policy_name = function
-  | All_hw -> "HW"
-  | All_chw -> "CHW"
-  | Hw_conv_chw_rest -> "HW-conv, CHW-rest"
-  | Chw_fc_hw_before -> "CHW-fc, HW-before"
+let policy_name = Plan.policy_name
+let all_policies = Plan.all_policies
 
-let all_policies = [ All_hw; All_chw; Hw_conv_chw_rest; Chw_fc_hw_before ]
-
-(* Assign a layout kind to every node's output under a policy. *)
-let assign policy circuit =
-  let assignment = Hashtbl.create 64 in
-  let seen_fc = ref false in
-  List.iter
-    (fun (node : Circuit.node) ->
-      let kind =
-        match policy with
-        | All_hw -> Layout.HW
-        | All_chw -> Layout.CHW
-        | Hw_conv_chw_rest -> begin
-            match node.Circuit.op with
-            | Circuit.Conv2d _ -> Layout.HW
-            | _ -> Layout.CHW
-          end
-        | Chw_fc_hw_before ->
-            if !seen_fc then Layout.CHW else Layout.HW
-      in
-      (match node.Circuit.op with Circuit.MatMul _ -> seen_fc := true | _ -> ());
-      Hashtbl.replace assignment node.Circuit.id kind)
-    (Circuit.topo_order circuit);
-  fun (node : Circuit.node) ->
-    match Hashtbl.find_opt assignment node.Circuit.id with
-    | Some kind -> kind
-    | None ->
-        (* the node is not part of the circuit this assignment was built
-           for — a diagnosable wiring bug, not a bare [Not_found] *)
-        Herr.raise_err ~backend:"executor" ~op:"assign" ~node_id:node.Circuit.id
-          ~layer:(op_name node)
-          (Herr.Missing_node { node_id = node.Circuit.id })
-
-(* Margin needed by the circuit's Same convolutions (border head-room), in
-   *input-image pixels*: a Same convolution applied after striding ops needs
-   its radius multiplied by the accumulated stride, because the layout's
-   physical strides have been dilated by then. *)
-let required_margin circuit =
-  let cum = Hashtbl.create 64 in
-  let cum_of (n : Circuit.node) = try Hashtbl.find cum n.Circuit.id with Not_found -> 1 in
-  List.fold_left
-    (fun acc (node : Circuit.node) ->
-      let in_cum =
-        match Circuit.(node.op) with
-        | Circuit.Input _ -> 1
-        | Circuit.Conv2d { input; _ } | Circuit.MatMul { input; _ } | Circuit.AvgPool { input; _ }
-        | Circuit.PolyAct { input; _ } | Circuit.BatchNorm { input; _ } ->
-            cum_of input
-        | Circuit.GlobalAvgPool n | Circuit.Square n | Circuit.Flatten n -> cum_of n
-        | Circuit.Concat ns -> List.fold_left (fun a n -> Stdlib.max a (cum_of n)) 1 ns
-        | Circuit.Residual (x, y) -> Stdlib.max (cum_of x) (cum_of y)
-      in
-      let out_cum, need =
-        match node.Circuit.op with
-        | Circuit.Conv2d { weights; stride; padding; _ } ->
-            let radius =
-              match padding with
-              | Tensor.Same -> weights.Tensor.shape.(2) / 2
-              | Tensor.Valid -> 0
-            in
-            (in_cum * stride, radius * in_cum)
-        | Circuit.AvgPool { stride; _ } -> (in_cum * stride, 0)
-        | _ -> (in_cum, 0)
-      in
-      Hashtbl.replace cum node.Circuit.id out_cum;
-      Stdlib.max acc need)
-    1 (Circuit.topo_order circuit)
+(* Plaintexts a long-lived prepared executor keeps encoded; beyond it,
+   kernels encode per inference. *)
+let default_pt_budget = 1024
 
 (* Sentinel threading (DESIGN.md §16): [sn_probe] is the known input packed
    into the layout's twin slots at encrypt time; [sn_verify] receives the
@@ -118,139 +47,235 @@ type sentinel = {
   sn_verify : Tensor.t -> unit;
 }
 
+let err ~op e = Herr.raise_err ~backend:"executor" ~op e
+
+(* arena gauges: size of the last prepared plan's arena, and the live-slot
+   high-water mark of the last plan execution *)
+let arena_slots_gauge =
+  lazy (Metrics.gauge Metrics.default ~help:"ciphertext arena size of the active plan" "chet_plan_arena_slots")
+
+let arena_live_gauge =
+  lazy
+    (Metrics.gauge Metrics.default ~help:"live arena slots, high-water mark of the last run"
+       "chet_plan_arena_live_hwm")
+
 module Make (H : Hisa.S) = struct
   module K = Kernels.Make (H)
 
-  let input_meta ?margin ?(twin = false) circuit ~kind =
-    let margin = match margin with Some m -> m | None -> required_margin circuit in
-    let node = circuit.Circuit.input in
-    match node.Circuit.shape with
-    | [| c; h; w |] ->
-        Layout.create ~kind ~slots:H.slots ~channels:c ~height:h ~width:w ~margin ~twin ()
-    | shape ->
-        Herr.raise_err ~backend:"executor" ~op:"input_meta" ~node_id:node.Circuit.id
-          ~layer:(op_name node)
-          (Herr.Shape_mismatch
-             {
-               expected = "[c; h; w]";
-               got =
-                 "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int shape)) ^ "]";
-             })
+  type prepared = {
+    pr_plan : Plan.t;
+    pr_cfg : Kernels.scales;
+    pr_execs : (K.ct_tensor option array -> K.ct_tensor -> K.ct_tensor) array;
+        (** per step: (arena, external input) -> result *)
+  }
 
-  (* Run the circuit on an already-encrypted input tensor with an arbitrary
-     per-node layout assignment (the exhaustive-search ablation uses this
-     directly; the four pruned policies go through {!run_encrypted}).
+  let plan prepared = prepared.pr_plan
 
-     [cancel] is polled at every node boundary — the same granularity the
-     per-node spans hook — so a tripped token frees the worker within one
-     node instead of one full inference (DESIGN.md §13). The poll raises the
-     typed [Herr.Cancelled] carrying the node at which it fired. *)
-  let run_encrypted_with ?cancel cfg circuit ~kind_of (input : K.ct_tensor) =
-    let values : (int, K.ct_tensor) Hashtbl.t = Hashtbl.create 64 in
-    let raw_value (node : Circuit.node) =
-      match Hashtbl.find_opt values node.Circuit.id with
-      | Some v -> v
-      | None ->
-          Herr.raise_err ~backend:"executor" ~op:"lookup"
-            (Herr.Missing_node { node_id = node.Circuit.id })
+  let check_plan (plan : Plan.t) =
+    if H.slots <> plan.Plan.p_slots then
+      err ~op:"prepare"
+        (Herr.Invalid_op
+           {
+             reason =
+               Printf.sprintf "plan compiled for %d slots but backend has %d" plan.Plan.p_slots
+                 H.slots;
+           });
+    match Plan.validate plan with
+    | Ok () -> ()
+    | Error reason -> err ~op:"prepare" (Herr.Invalid_op { reason = "invalid plan: " ^ reason })
+
+  let get (arena : K.ct_tensor option array) s =
+    match arena.(s) with
+    | Some v -> v
+    | None -> err ~op:"exec" (Herr.Invalid_op { reason = Printf.sprintf "read of released arena slot %d" s })
+
+  (* Stage one step: its kernel closure over (arena, external input), with
+     [budget] plaintexts left to encode now. [src_meta i] is the static
+     layout of the step's i-th source. Adds the kernel's fusion counts to
+     [stats]. *)
+  let stage cfg ~budget ~(stats : Plan.stats) ~src_meta (st : Plan.step) =
+    let of_staged (sg : K.staged) =
+      stats.Plan.fused_mul_rescale <- stats.Plan.fused_mul_rescale + sg.K.sg_mul_rescale;
+      stats.Plan.fused_rot_acc <- stats.Plan.fused_rot_acc + sg.K.sg_rot_acc;
+      stats.Plan.fused_mul_acc <- stats.Plan.fused_mul_acc + sg.K.sg_mul_acc;
+      let s0 = if Array.length st.Plan.st_srcs > 0 then st.Plan.st_srcs.(0) else -1 in
+      fun arena _input -> sg.K.sg_run (get arena s0)
     in
-    let value (node : Circuit.node) ~want =
-      let v = raw_value node in
-      if v.K.meta.Layout.kind = want then v else K.convert cfg v ~to_kind:want
+    Herr.with_node ~node_id:st.Plan.st_node.Circuit.id ~layer:(Plan.op_name st.Plan.st_node) (fun () ->
+        match st.Plan.st_op with
+        | Plan.Op_convert k -> of_staged (K.convert cfg ~meta:(src_meta 0) ~budget ~to_kind:k)
+        | Plan.Op_node -> begin
+            match st.Plan.st_node.Circuit.op with
+            | Circuit.Input _ ->
+                let want = st.Plan.st_meta in
+                fun _arena input ->
+                  if input.K.meta <> want then
+                    err ~op:"input"
+                      (Herr.Shape_mismatch
+                         {
+                           expected = Format.asprintf "%a" Layout.pp want;
+                           got = Format.asprintf "%a" Layout.pp input.K.meta;
+                         });
+                  input
+            | Circuit.Conv2d { weights; bias; stride; padding; _ } ->
+                of_staged (K.conv2d cfg ~meta:(src_meta 0) ~budget ~weights ~bias ~stride ~padding)
+            | Circuit.MatMul { weights; bias; _ } ->
+                of_staged (K.matmul cfg ~meta:(src_meta 0) ~budget ~weights ~bias)
+            | Circuit.AvgPool { ksize; stride; _ } ->
+                of_staged (K.avg_pool cfg ~meta:(src_meta 0) ~budget ~ksize ~stride)
+            | Circuit.GlobalAvgPool _ -> of_staged (K.global_avg_pool cfg ~meta:(src_meta 0) ~budget)
+            | Circuit.PolyAct { a; b; _ } -> of_staged (K.poly_act cfg ~a ~b)
+            | Circuit.Square _ -> of_staged (K.square cfg)
+            | Circuit.BatchNorm { scale; shift; _ } ->
+                of_staged (K.batch_norm cfg ~meta:(src_meta 0) ~budget ~scale ~shift)
+            | Circuit.Flatten _ -> of_staged K.flatten
+            | Circuit.Concat _ ->
+                let srcs = st.Plan.st_srcs in
+                fun arena _input -> K.concat cfg (Array.to_list (Array.map (get arena) srcs))
+            | Circuit.Residual _ ->
+                let a = st.Plan.st_srcs.(0) and b = st.Plan.st_srcs.(1) in
+                fun arena _input -> K.residual (get arena a) (get arena b)
+          end)
+
+  (* Stage every step of a validated plan in schedule order, handing each
+     staged closure to [f]. The static layout of every arena slot is
+     tracked as the schedule writes it. Resets and refills the plan's
+     fusion counts (static per plan, so repeated prepares — one per
+     worker — are idempotent). *)
+  let stage_steps ~pt_budget cfg (plan : Plan.t) f =
+    let budget = ref pt_budget in
+    let stats = plan.Plan.p_stats in
+    stats.Plan.fused_mul_rescale <- 0;
+    stats.Plan.fused_rot_acc <- 0;
+    stats.Plan.fused_mul_acc <- 0;
+    let slot_meta = Array.make plan.Plan.p_arena plan.Plan.p_input_meta in
+    Array.iteri
+      (fun i (st : Plan.step) ->
+        let src_meta k = slot_meta.(st.Plan.st_srcs.(k)) in
+        f i st (stage cfg ~budget ~stats ~src_meta st);
+        slot_meta.(st.Plan.st_dst) <- st.Plan.st_meta)
+      plan.Plan.p_steps
+
+  (* Validate the plan, check the backend's slot count and stage every
+     step, encoding up to [pt_budget] weight/mask plaintexts now. *)
+  let prepare ~pt_budget cfg (plan : Plan.t) =
+    check_plan plan;
+    let execs = Array.make (Array.length plan.Plan.p_steps) (fun _ input -> input) in
+    stage_steps ~pt_budget cfg plan (fun i _ exec -> execs.(i) <- exec);
+    Metrics.set_gauge (Lazy.force arena_slots_gauge) (float_of_int plan.Plan.p_arena);
+    { pr_plan = plan; pr_cfg = cfg; pr_execs = execs }
+
+  (* Run one step against the arena: poll [cancel] at the step boundary —
+     the granularity of the per-step spans — so a tripped token frees the
+     worker within one step instead of one full inference (DESIGN.md §13),
+     raising the typed [Herr.Cancelled] carrying the node at which it
+     fired; then execute, write the destination and release dead slots. *)
+  let exec_step ?cancel arena ~live ~hwm (st : Plan.step) exec input =
+    let node = st.Plan.st_node in
+    (match cancel with
+    | Some tok -> Cancel.check tok ~node_id:node.Circuit.id ~layer:(Plan.op_name node)
+    | None -> ());
+    (* every failure below this point carries the circuit node and a
+       human description of the layer that caused it *)
+    let compute () =
+      Herr.with_node ~node_id:node.Circuit.id ~layer:(Plan.op_name node) (fun () -> exec arena input)
     in
-    List.iter
-      (fun (node : Circuit.node) ->
-        (match cancel with
-        | Some tok -> Cancel.check tok ~node_id:node.Circuit.id ~layer:(op_name node)
-        | None -> ());
-        let kind = kind_of node in
-        (* every failure below this point carries the circuit node and a
-           human description of the layer that caused it *)
-        let compute () =
-          Herr.with_node ~node_id:node.Circuit.id ~layer:(op_name node) (fun () ->
-              match node.Circuit.op with
-              | Circuit.Input _ ->
-                  if input.K.meta.Layout.kind = kind then input
-                  else K.convert cfg input ~to_kind:kind
-              | Circuit.Conv2d { input = src; weights; bias; stride; padding } ->
-                  K.conv2d cfg (value src ~want:kind) ~weights ~bias ~stride ~padding
-              | Circuit.MatMul { input = src; weights; bias } ->
-                  (* matmul reads any layout directly (the weight plaintexts
-                     are placed by the input's own metadata), and its output
-                     is a dense vector regardless of the assigned kind *)
-                  K.matmul cfg (raw_value src) ~weights ~bias
-              | Circuit.AvgPool { input = src; ksize; stride } ->
-                  K.avg_pool cfg (value src ~want:kind) ~ksize ~stride
-              | Circuit.GlobalAvgPool src -> K.global_avg_pool cfg (value src ~want:kind)
-              | Circuit.PolyAct { input = src; a; b } ->
-                  K.poly_act cfg (value src ~want:kind) ~a ~b
-              | Circuit.Square src -> K.square cfg (value src ~want:kind)
-              | Circuit.BatchNorm { input = src; scale; shift } ->
-                  K.batch_norm cfg (value src ~want:kind) ~scale ~shift
-              | Circuit.Flatten src -> K.flatten (value src ~want:kind)
-              | Circuit.Concat srcs -> K.concat cfg (List.map (fun s -> value s ~want:kind) srcs)
-              | Circuit.Residual (a, b) -> K.residual (value a ~want:kind) (value b ~want:kind))
-        in
-        let result =
-          (* one span per circuit node when tracing is on: node id, layer
-             description, layout, and — annotated after the node ran — the
-             HISA op count attributable to it plus the result's scale and
-             remaining modulus level. Disabled tracing costs one atomic
-             load per node. *)
-          if not (Tracer.enabled ()) then compute ()
-          else
-            Tracer.with_span ~cat:"executor"
-              ~attrs:
-                [
-                  ("node_id", Tracer.Int node.Circuit.id);
-                  ("layer", Tracer.Str (op_name node));
-                  ("layout", Tracer.Str (match kind with Layout.HW -> "HW" | Layout.CHW -> "CHW"));
-                ]
-              (op_name node)
-              (fun () ->
-                let ops0 = Tracer.op_count () in
-                let r = compute () in
-                Tracer.annotate "ops" (Tracer.Int (Tracer.op_count () - ops0));
-                if Array.length r.K.cts > 0 then begin
-                  Tracer.annotate "scale" (Tracer.Float (H.scale_of r.K.cts.(0)));
-                  let env = H.env_of r.K.cts.(0) in
-                  Tracer.annotate "level"
-                    (Tracer.Int
-                       (if env.Hisa.env_r > 0 then env.Hisa.env_r else env.Hisa.env_log_q))
-                end;
-                r)
-        in
-        Hashtbl.replace values node.Circuit.id result)
-      (Circuit.topo_order circuit);
-    raw_value circuit.Circuit.output
+    let result =
+      (* one span per step when tracing is on: node id, layer, layout, and
+         — annotated after the step ran — the HISA op count attributable to
+         it plus the result's scale and remaining modulus level. Disabled
+         tracing costs one atomic load per step. *)
+      if not (Tracer.enabled ()) then compute ()
+      else
+        Tracer.with_span ~cat:"executor"
+          ~attrs:
+            [
+              ("node_id", Tracer.Int node.Circuit.id);
+              ("layer", Tracer.Str (Plan.op_name node));
+              ("layout", Tracer.Str (match st.Plan.st_kind with Layout.HW -> "HW" | Layout.CHW -> "CHW"));
+              ("step", Tracer.Int st.Plan.st_id);
+            ]
+          (match st.Plan.st_op with
+          | Plan.Op_convert Layout.HW -> "convert->HW"
+          | Plan.Op_convert Layout.CHW -> "convert->CHW"
+          | Plan.Op_node -> Plan.op_name node)
+          (fun () ->
+            let ops0 = Tracer.op_count () in
+            let r = compute () in
+            Tracer.annotate "ops" (Tracer.Int (Tracer.op_count () - ops0));
+            if Array.length r.K.cts > 0 then begin
+              Tracer.annotate "scale" (Tracer.Float (H.scale_of r.K.cts.(0)));
+              let env = H.env_of r.K.cts.(0) in
+              Tracer.annotate "level"
+                (Tracer.Int (if env.Hisa.env_r > 0 then env.Hisa.env_r else env.Hisa.env_log_q))
+            end;
+            r)
+    in
+    arena.(st.Plan.st_dst) <- Some result;
+    incr live;
+    if !live > !hwm then hwm := !live;
+    Array.iter
+      (fun s ->
+        arena.(s) <- None;
+        decr live)
+      st.Plan.st_release
 
-  let run_encrypted ?cancel cfg circuit ~policy input =
-    run_encrypted_with ?cancel cfg circuit ~kind_of:(assign policy circuit) input
+  let finish (plan : Plan.t) arena ~hwm =
+    Metrics.set_gauge (Lazy.force arena_live_gauge) (float_of_int hwm);
+    match arena.(plan.Plan.p_output) with
+    | Some v -> v
+    | None -> err ~op:"run" (Herr.Invalid_op { reason = "plan output slot empty after the last step" })
 
-  (* Full client–server roundtrip on a cleartext image: encrypt with the
-     layout the policy assigns to the input, run, decrypt.
+  (* Replay the staged closures on an input encrypted at the plan's input
+     layout. *)
+  let run_encrypted ?cancel prepared (input : K.ct_tensor) =
+    let plan = prepared.pr_plan in
+    let arena = Array.make plan.Plan.p_arena None in
+    let live = ref 0 and hwm = ref 0 in
+    Array.iteri
+      (fun i st -> exec_step ?cancel arena ~live ~hwm st prepared.pr_execs.(i) input)
+      plan.Plan.p_steps;
+    finish plan arena ~hwm:!hwm
 
-     [twin] runs on an interleaved-twin layout without verification — the
-     compiler's analysis passes use it so a sentinel deployment's parameter,
-     cost and rotation selection see the geometry it will actually execute.
-     [sentinel] implies [twin] and additionally packs/verifies the probe. *)
-  let run ?cancel ?sentinel ?(twin = false) cfg circuit ~policy image =
-    (* compute the assignment once and reuse it for the run itself, rather
-       than paying [assign] a second time inside [run_encrypted] *)
-    let kind_of = assign policy circuit in
-    let twin = twin || sentinel <> None in
-    let meta = input_meta ~twin circuit ~kind:(kind_of circuit.Circuit.input) in
+  (* [prepare ~pt_budget:0] then [run_encrypted], fused: each step is
+     staged just before it runs and dropped after, so a one-shot run (the
+     analysis passes) holds no staged state for the steps it is not
+     executing. *)
+  let run_once_encrypted ?cancel cfg (plan : Plan.t) (input : K.ct_tensor) =
+    check_plan plan;
+    let arena = Array.make plan.Plan.p_arena None in
+    let live = ref 0 and hwm = ref 0 in
+    stage_steps ~pt_budget:0 cfg plan (fun _ st exec -> exec_step ?cancel arena ~live ~hwm st exec input);
+    finish plan arena ~hwm:!hwm
+
+  (* Full client–server roundtrip on a cleartext image: encrypt at the
+     plan's input layout (with the sentinel probe in the twin slots), run,
+     decrypt, and verify the sentinel lane. *)
+  let roundtrip ?sentinel cfg (plan : Plan.t) image execute =
     let probe = Option.map (fun s -> s.sn_probe) sentinel in
-    let encrypted = K.encrypt_tensor ?probe cfg meta image in
-    let out = run_encrypted_with ?cancel cfg circuit ~kind_of encrypted in
+    let out = execute (K.encrypt_tensor ?probe cfg plan.Plan.p_input_meta image) in
     match sentinel with
     | None -> K.decrypt_tensor out
     | Some s ->
         let primary, twin_out = K.decrypt_parts out in
         (match twin_out with
         | Some t -> s.sn_verify t
-        | None ->
-            Herr.raise_err ~backend:"executor" ~op:"sentinel"
-              (Herr.Invalid_op { reason = "output layout lost its twin slots" }));
+        | None -> err ~op:"sentinel" (Herr.Invalid_op { reason = "output layout lost its twin slots" }));
         primary
+
+  let run_prepared ?cancel ?sentinel prepared image =
+    roundtrip ?sentinel prepared.pr_cfg prepared.pr_plan image (run_encrypted ?cancel prepared)
+
+  (* One inference of [circuit] under [policy]: build the plan, prepare it
+     with a zero plaintext budget, run it (the last two fused, as in
+     [run_once_encrypted]).
+
+     [twin] runs on an interleaved-twin layout without verification — the
+     compiler's analysis passes use it so a sentinel deployment's parameter,
+     cost and rotation selection see the geometry it will actually execute.
+     [sentinel] implies [twin] and additionally packs/verifies the probe. *)
+  let run ?cancel ?sentinel ?(twin = false) cfg circuit ~policy image =
+    let twin = twin || sentinel <> None in
+    let plan = Plan.build ~twin ~slots:H.slots ~policy circuit in
+    roundtrip ?sentinel cfg plan image (run_once_encrypted ?cancel cfg plan)
 end

@@ -27,15 +27,8 @@ type deployment = {
       (* calibrated cost-model prediction of one inference on this rung;
          None = unknown, the rung is always admitted *)
   dep_backend : req_seed:int -> attempt:int -> Hisa.t;
-  dep_plan :
-    (cancel:Cancel.t -> worker:int -> req_seed:int -> attempt:int -> Tensor.t -> Tensor.t) option;
-      (* when present, workers execute this rung through a prepared plan
-         (DESIGN.md §14) instead of the interpretive executor — same
-         request/attempt seed derivation, bit-identical answers, but no
-         per-request layout or plaintext re-derivation *)
   dep_sentinel : Integrity.spec option;
-      (* verify every answer against the sentinel lane (DESIGN.md §16);
-         forces the interpretive executor *)
+      (* verify every answer against the sentinel lane (DESIGN.md §16) *)
   dep_twin : bool;
       (* run on twin layouts even without verification — required of every
          FHE rung of a sentinel-compiled deployment, whose rotation keys
@@ -55,7 +48,7 @@ let reduced_scales (s : Kernels.scales) k =
   }
 
 let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_rungs = 1)
-    ?(clear_fallback = true) ?(predict_cost = false) ?plan ?sentinel () =
+    ?(clear_fallback = true) ?(predict_cost = false) ?sentinel () =
   let scales = compiled.Compiler.opts.Compiler.scales in
   let policy = compiled.Compiler.policy in
   (* the admission-control prediction comes for free: [compile] already
@@ -76,22 +69,10 @@ let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_r
      encryption randomness (a deterministic corruption would simply recur),
      so the attempt index perturbs the per-request seed *)
   let backend ~req_seed ~attempt = factory ~req_seed:(req_seed + (attempt * 7919)) in
-  (* the plan rung perturbs the attempt seed by the same formula, so a plan
-     answer for (req_seed, attempt) is bit-identical to the interpretive one *)
-  let dep_plan =
-    Option.map
-      (fun (runner : Compiler.plan_runner) ->
-        fun ~cancel ~worker ~req_seed ~attempt image ->
-         runner ~cancel ~worker ~req_seed:(req_seed + (attempt * 7919)) image)
-      plan
-  in
-  (* sentinel verification forces the interpretive executor: a plan is
-     prepared on twin-less layouts and cannot carry the probe lane *)
-  let dep_plan = if sentinel = None then dep_plan else None in
   let twin = sentinel <> None in
   let primary =
     { dep_label = "primary"; dep_degraded = false; dep_scales = scales; dep_policy = policy;
-      dep_cost_ms = scheme_cost_ms; dep_backend = backend; dep_plan; dep_sentinel = sentinel;
+      dep_cost_ms = scheme_cost_ms; dep_backend = backend; dep_sentinel = sentinel;
       dep_twin = twin }
   in
   let reduced =
@@ -104,9 +85,6 @@ let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_r
           dep_policy = policy;
           dep_cost_ms = scheme_cost_ms;
           dep_backend = backend;
-          (* the plan's staged plaintexts are encoded at the primary scales;
-             reduced rungs change scales, so they stay interpretive *)
-          dep_plan = None;
           (* a reduced rung trades precision for headroom by design, so the
              full-precision sentinel tolerance would reject honest degraded
              answers — it runs twin (the deployment's rotation keys cover
@@ -131,7 +109,6 @@ let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_r
             (fun ~req_seed:_ ~attempt:_ ->
               Clear.make
                 { Clear.slots = n / 2; scheme; strict_modulus = false; encode_noise = false });
-          dep_plan = None;
           (* the cleartext rung is exact, so sentinel verification is free
              and keeps the end-to-end integrity contract on the last rung *)
           dep_sentinel = sentinel;
@@ -143,18 +120,11 @@ let ladder_of_factory compiled ~(factory : Compiler.backend_factory) ?(reduced_r
   (primary :: reduced) @ clear
 
 let ladder_of_compiled compiled ~seed ?rotation_keys ?reduced_rungs ?clear_fallback ?predict_cost
-    ?plan ?sentinel ~with_secret () =
+    ?sentinel ~with_secret () =
   let factory, _scheme =
     Compiler.instantiate_factory compiled ~seed ?rotation_keys ~with_secret ()
   in
-  let plan_runner =
-    Option.map
-      (fun p ->
-        fst (Compiler.instantiate_plan_runner compiled ~plan:p ~seed ?rotation_keys ~with_secret ()))
-      plan
-  in
-  ladder_of_factory compiled ~factory ?reduced_rungs ?clear_fallback ?predict_cost ?plan:plan_runner
-    ?sentinel ()
+  ladder_of_factory compiled ~factory ?reduced_rungs ?clear_fallback ?predict_cost ?sentinel ()
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                        *)
@@ -376,37 +346,32 @@ let transient_error = function
 
 let run_attempt t dep req ~attempt ~worker =
   try
-    match dep.dep_plan with
-    | Some plan_run ->
-        Ok
-          ( plan_run ~cancel:req.req_cancel ~worker ~req_seed:req.req_seed ~attempt req.req_image,
-            Float.nan,
-            [||] )
-    | None ->
-        let backend = dep.dep_backend ~req_seed:req.req_seed ~attempt in
-        let module H = (val backend : Hisa.S) in
-        let module E = Executor.Make (H) in
-        let margin = ref Float.nan in
-        let lane = ref [||] in
-        let sentinel =
-          Option.map
-            (fun spec ->
-              Integrity.sentinel
-                ~observe:(fun twin ->
-                  (* the *measured* precision headroom of this answer — the
-                     noise model's predicted margin is its forecast *)
-                  let m = Integrity.margin_bits spec twin in
-                  margin := m;
-                  lane := Array.copy twin.Tensor.data;
-                  Metrics.set_gauge t.mx.mx_margin m)
-                spec)
-            dep.dep_sentinel
-        in
-        let tensor =
-          E.run ~cancel:req.req_cancel ?sentinel ~twin:dep.dep_twin dep.dep_scales t.circuit
-            ~policy:dep.dep_policy req.req_image
-        in
-        Ok (tensor, !margin, !lane)
+    (* every rung runs as a plan: built for the rung's policy and twin
+       geometry, prepared at the rung's scales on this attempt's backend *)
+    let backend = dep.dep_backend ~req_seed:req.req_seed ~attempt in
+    let module H = (val backend : Hisa.S) in
+    let module E = Executor.Make (H) in
+    let margin = ref Float.nan in
+    let lane = ref [||] in
+    let sentinel =
+      Option.map
+        (fun spec ->
+          Integrity.sentinel
+            ~observe:(fun twin ->
+              (* the *measured* precision headroom of this answer — the
+                 noise model's predicted margin is its forecast *)
+              let m = Integrity.margin_bits spec twin in
+              margin := m;
+              lane := Array.copy twin.Tensor.data;
+              Metrics.set_gauge t.mx.mx_margin m)
+            spec)
+        dep.dep_sentinel
+    in
+    let tensor =
+      E.run ~cancel:req.req_cancel ?sentinel ~twin:dep.dep_twin dep.dep_scales t.circuit
+        ~policy:dep.dep_policy req.req_image
+    in
+    Ok (tensor, !margin, !lane)
   with
   | Herr.Fhe_error ((Herr.Integrity_violation _ as e), c) ->
       with_lock t.ms.sm (fun () -> t.ms.integrity_failures <- t.ms.integrity_failures + 1);
@@ -848,7 +813,7 @@ let infer t ?deadline_ms ?seed image = await t (submit t ?deadline_ms ?seed imag
 
 (* Explicit cancellation (the CNCL frame lands here): trip the ticket's
    token and let the machinery already in place do the rest — queued
-   requests die at dequeue, running ones at the next node boundary. *)
+   requests die at dequeue, running ones at the next step boundary. *)
 let cancel (req : ticket) ~reason = Cancel.trip req.req_cancel (Cancel.Requested reason)
 let ticket_id (req : ticket) = req.req_id
 let shutdown t = Pool.shutdown t.pool

@@ -11,8 +11,8 @@
       predicted cost cannot fit the budget on any rung is refused up front
       (admission control, DESIGN.md §13), and a caller whose deadline passes
       mid-inference gets a typed [Deadline_exceeded] while the abandoned
-      attempt is freed at the executor's next circuit-node boundary via its
-      cancel token — a worker is lost for one node, not one inference;
+      attempt is freed at the executor's next plan-step boundary via its
+      cancel token — a worker is lost for one step, not one inference;
     - {b retries}: transient typed failures ([Numeric_blowup],
       [Corrupt_ciphertext], and the other checked-backend detections) are
       retried with capped exponential backoff + jitter, within the deadline;
@@ -29,8 +29,9 @@
 
     Determinism: a request's answer is a pure function of (image, request
     seed, serving rung) — each attempt builds its backend through
-    [dep_backend ~req_seed ~attempt], so N concurrent domains produce
-    results bit-identical to sequential execution (asserted by
+    [dep_backend ~req_seed ~attempt] and runs the rung's plan on it
+    (DESIGN.md §14), prepared at the rung's scales, so N concurrent domains
+    produce results bit-identical to sequential execution (asserted by
     test/test_serve.ml). *)
 
 module Herr = Chet_hisa.Herr
@@ -57,17 +58,6 @@ type deployment = {
           immutable state (context, evaluation keys) and derive only the
           encryption randomness from [req_seed] — which is what makes
           concurrent execution bit-identical to sequential. *)
-  dep_plan :
-    (cancel:Chet_hisa.Cancel.t -> worker:int -> req_seed:int -> attempt:int -> Tensor.t -> Tensor.t)
-    option;
-      (** When present, workers run this rung through a compiled execution
-          plan (DESIGN.md §14) instead of the interpretive executor:
-          prepare-once staged kernels over a ciphertext arena, with weight
-          and mask plaintexts already encoded. Implementations must fold
-          [attempt] into the request seed exactly as [dep_backend] does, so
-          answers stay bit-identical across the two paths. [dep_backend]
-          remains the fallback (and the contract for checked/fault
-          wrapping); [None] means the rung is always interpretive. *)
   dep_sentinel : Chet.Integrity.spec option;
       (** When present, every answer this rung produces is verified against
           the sentinel lane (DESIGN.md §16): the probe rides the odd twin
@@ -75,7 +65,7 @@ type deployment = {
           the clear-reference prediction within the spec's tolerance. A
           mismatch surfaces as a typed [Integrity_violation] — transient, so
           the attempt is retried with fresh randomness (and, over the
-          network, on a different shard). Forces the interpretive executor. *)
+          network, on a different shard). *)
   dep_twin : bool;
       (** Run on twin (interleaved-sentinel) layouts even without
           verification. Every FHE rung of a sentinel-compiled deployment
@@ -90,7 +80,6 @@ val ladder_of_compiled :
   ?reduced_rungs:int ->
   ?clear_fallback:bool ->
   ?predict_cost:bool ->
-  ?plan:Chet_plan.Plan.t ->
   ?sentinel:Chet.Integrity.spec ->
   with_secret:bool ->
   unit ->
@@ -111,18 +100,11 @@ val ladder_of_compiled :
     control costs nothing extra — and the cleartext rung carries [Some 0.]
     (orders of magnitude cheaper than any FHE rung).
 
-    With [?plan] (typically {!Compiler.plan}[ compiled]), the primary rung
-    executes through {!Compiler.instantiate_plan_runner} — one prepared
-    executor per worker domain, bit-identical answers. Degraded rungs stay
-    interpretive: the plan's staged plaintexts are encoded at the primary
-    scales.
-
     With [?sentinel] (the circuit must have been compiled with
     [opts.sentinel = true] so parameters and rotation keys match the twin
     geometry), the primary and cleartext rungs verify every answer against
-    the sentinel lane and the plan path is disabled; reduced rungs run twin
-    but unverified — their deliberate precision loss would trip the
-    full-precision tolerance. *)
+    the sentinel lane; reduced rungs run twin but unverified — their
+    deliberate precision loss would trip the full-precision tolerance. *)
 
 val ladder_of_factory :
   Compiler.compiled ->
@@ -130,16 +112,13 @@ val ladder_of_factory :
   ?reduced_rungs:int ->
   ?clear_fallback:bool ->
   ?predict_cost:bool ->
-  ?plan:Compiler.plan_runner ->
   ?sentinel:Chet.Integrity.spec ->
   unit ->
   deployment list
 (** {!ladder_of_compiled} around an already-instantiated deployment —
     what a warm restart hands over after
     {!Compiler.instantiate_factory_restored} rebuilt the keyset from a
-    stored bundle instead of regenerating it. [?plan] attaches an
-    already-instantiated plan runner (e.g. {!Chet_store.Bundle.restore_plan_runner})
-    to the primary rung. *)
+    stored bundle instead of regenerating it. *)
 
 (** {1 Configuration} *)
 
@@ -202,7 +181,7 @@ val cancel : ticket -> reason:string -> unit
     token with an explicit reason (e.g. a [CNCL] wire frame, or a hedge
     sibling winning). First trip wins and the call is idempotent. A queued
     request dies at dequeue without touching a backend; a running one is
-    freed at the executor's next circuit-node boundary, delivering a typed
+    freed at the executor's next plan-step boundary, delivering a typed
     [Cancelled] that carries the node at which the worker noticed. *)
 
 val ticket_id : ticket -> int

@@ -26,7 +26,7 @@ type t = {
   b_keys : string option;
   b_scale : scale_summary option;
   b_calibration : Cost_model.calibration option;
-  b_plan : Chet_plan.Plan.t option;  (* PLAN frame sidecar; warm restarts skip planning *)
+  b_plan : Chet_runtime.Plan.t option;  (* PLAN frame sidecar; warm restarts skip planning *)
 }
 
 let circuit_name t = t.b_compiled.Compiler.circuit.Circuit.name
@@ -141,7 +141,7 @@ let files t =
      @ (match t.b_calibration with
        | Some c -> [ (calibration_file, Jsonx.to_string (Cost_model.calibration_to_json c)) ]
        | None -> [])
-     @ match t.b_plan with Some p -> [ (plan_file, Chet_plan.Plan.to_string p) ] | None -> [])
+     @ match t.b_plan with Some p -> [ (plan_file, Chet_runtime.Plan.to_string p) ] | None -> [])
 
 let save store t = Store.save store ~files:(files t)
 
@@ -189,7 +189,7 @@ let load store ~circuit =
         match List.assoc_opt plan_file payload with
         | None -> None
         | Some bytes -> (
-            try Some (Chet_plan.Plan.of_string ~circuit bytes)
+            try Some (Chet_runtime.Plan.of_string ~circuit bytes)
             with Serial.Corrupt reason -> corrupt ~gen ~file:plan_file reason)
       in
       Some
@@ -215,10 +215,10 @@ let restore_factory t ~with_secret =
 (* Warm-restart plan deployment: the stored PLAN frame skips planning, the
    stored keys skip rotation-key generation. [None] when the bundle carries
    no plan (built with [with_plan:false], or predating the sidecar). *)
-let restore_plan_runner ?pt_budget t ~with_secret =
+let restore_plan_runner t ~with_secret =
   match t.b_plan with
   | None -> None
   | Some plan ->
       Some
         (Compiler.instantiate_plan_runner t.b_compiled ~plan ~seed:t.b_seed
-           ~rotation_keys:t.b_rotation_policy ?pt_budget ?keys:t.b_keys ~with_secret ())
+           ~rotation_keys:t.b_rotation_policy ?keys:t.b_keys ~with_secret ())

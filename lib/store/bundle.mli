@@ -32,7 +32,7 @@ type t = {
   b_keys : string option;  (** [RKY2] public evaluation material; [None] for HEAAN *)
   b_scale : scale_summary option;
   b_calibration : Cost_model.calibration option;
-  b_plan : Chet_plan.Plan.t option;
+  b_plan : Chet_runtime.Plan.t option;
       (** compiled execution plan ([plan.chet], a [PLAN] frame); warm
           restarts skip planning when present *)
 }
@@ -84,7 +84,7 @@ val restore_factory :
     deployment that produced the bundle. *)
 
 val restore_plan_runner :
-  ?pt_budget:int -> t -> with_secret:bool ->
+  t -> with_secret:bool ->
   (Compiler.plan_runner * Hisa.scheme_kind) option
 (** The warm-restart {e plan} deployment: the stored [PLAN] frame skips
     planning and the stored keys skip rotation-key generation

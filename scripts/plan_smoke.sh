@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Compiled-plan smoke (DESIGN.md §14): compile a bundle — which now carries
-# the checksummed PLAN frame — into a state dir, warm-restart a serve with
-# --plan, and require (a) the restart actually skipped the compile, (b) the
-# plan path actually engaged, and (c) the timing-free responses are
-# identical to the interpretive --no-plan path. The plan is a different
-# executor over the same arithmetic; any response drift is a fusion or
+# Compiled-plan smoke (DESIGN.md §14): compile a bundle — which carries the
+# checksummed PLAN frame — into a state dir, warm-restart a serve from it,
+# and require (a) the restart actually skipped the compile, (b) the bundle
+# carries its plan sidecar, and (c) the timing-free responses of both the
+# warm and a cold serve are identical to the recorded goldens
+# (test/data/serve_micro.golden). Any response drift is a fusion or
 # liveness bug, not noise.
 #
 # Usage: scripts/plan_smoke.sh  (expects a completed `dune build`)
@@ -12,12 +12,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BIN=_build/default/bin/chet_cli.exe
+GOLDEN=test/data/serve_micro.golden
 DIR=$(mktemp -d "${TMPDIR:-/tmp}/chet-plan-smoke.XXXXXX")
 trap 'rm -rf "$DIR"' EXIT
 STATE="$DIR/state"
 
 # per-request lines minus the latency suffix — the timing-free part
-# ("req NN: ok class=K via RUNG") must match across executors
+# ("req NN: ok class=K via RUNG") must match the goldens
 req_lines() { grep '^req ' "$1" | sed 's/ ([0-9].*//'; }
 
 echo "-- compile into the state dir (bundle carries the PLAN frame)"
@@ -27,23 +28,24 @@ test -n "$(ls "$STATE"/gen-*/plan.chet 2>/dev/null)" || {
   exit 1
 }
 
-echo "-- interpretive reference (--no-plan)"
-"$BIN" serve micro --requests 8 --domains 2 --no-plan >"$DIR/interp.out"
-req_lines "$DIR/interp.out" >"$DIR/interp.req"
+echo "-- cold serve"
+"$BIN" serve micro --requests 8 --domains 2 >"$DIR/cold.out"
+grep -q '^plan: ' "$DIR/cold.out" || {
+  echo "plan smoke FAIL: serve printed no plan summary" >&2
+  exit 1
+}
+req_lines "$DIR/cold.out" >"$DIR/cold.req"
 
-echo "-- plan serve, warm-restarted from the bundle"
-"$BIN" serve micro --requests 8 --domains 2 --plan --state-dir "$STATE" >"$DIR/plan.out"
-grep -q '^warm restart: generation' "$DIR/plan.out" || {
+echo "-- serve, warm-restarted from the bundle"
+"$BIN" serve micro --requests 8 --domains 2 --state-dir "$STATE" >"$DIR/warm.out"
+grep -q '^warm restart: generation' "$DIR/warm.out" || {
   echo "plan smoke FAIL: serve did not warm-restart from the bundle" >&2
   exit 1
 }
-grep -q '^plan: ' "$DIR/plan.out" || {
-  echo "plan smoke FAIL: serve --plan did not engage the plan path" >&2
-  exit 1
-}
-req_lines "$DIR/plan.out" >"$DIR/plan.req"
+req_lines "$DIR/warm.out" >"$DIR/warm.req"
 
-echo "-- plan answers match the interpretive ones"
-diff -u "$DIR/interp.req" "$DIR/plan.req"
+echo "-- answers match the goldens"
+diff -u "$GOLDEN" "$DIR/cold.req"
+diff -u "$GOLDEN" "$DIR/warm.req"
 
 echo "plan smoke OK"

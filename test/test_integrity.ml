@@ -194,6 +194,68 @@ let test_noise_guard_off_by_default () =
   done;
   ignore (H.decode (H.decrypt !c))
 
+(* A sentinel deployment served through the service runs its rung as a
+   twin-layout plan: a silently corrupting backend is caught on every
+   attempt as a typed Integrity_violation — never served — while the same
+   ladder over a clean backend answers with a measured margin. *)
+let test_served_sentinel_plan_catches_silent_corruption () =
+  let circuit = Models.micro.Models.build () in
+  let opts = { (Compiler.default_options ()) with Compiler.sentinel = true } in
+  let compiled = Compiler.compile opts circuit in
+  let isp = Integrity.spec_for circuit in
+  let scheme = Compiler.scheme_of_params opts compiled.Compiler.params in
+  let clear () =
+    Clear.make
+      {
+        Clear.slots = Compiler.params_n compiled.Compiler.params / 2;
+        scheme;
+        strict_modulus = false;
+        encode_noise = false;
+      }
+  in
+  let rung backend =
+    {
+      Chet_serve.Service.dep_label = "primary";
+      dep_degraded = false;
+      dep_scales = opts.Compiler.scales;
+      dep_policy = compiled.Compiler.policy;
+      dep_cost_ms = None;
+      dep_backend = backend;
+      dep_sentinel = Some isp;
+      dep_twin = true;
+    }
+  in
+  let serve backend =
+    let module S = Chet_serve.Service in
+    let svc = S.create (S.default_config ~domains:1 ()) ~circuit ~ladder:[ rung backend ] in
+    Fun.protect
+      ~finally:(fun () -> S.shutdown svc)
+      (fun () ->
+        let o = S.infer svc ~seed:5 (Models.input_for Models.micro ~seed:5) in
+        (o, (S.stats svc).S.s_integrity_failures))
+  in
+  let silent ~req_seed ~attempt:_ =
+    let faulty, _log =
+      Chet_hisa.Fault_backend.wrap
+        (Chet_hisa.Fault_backend.default_config ~seed:req_seed
+           (Some Chet_hisa.Fault_backend.Silent_corruption))
+        (clear ())
+    in
+    Checked.wrap ~scheme faulty
+  in
+  (match serve silent with
+  | { Chet_serve.Service.out_result = Error (Herr.Integrity_violation _, _); _ }, failures ->
+      Alcotest.(check bool) "violations counted" true (failures >= 1)
+  | { Chet_serve.Service.out_result = Ok _; _ }, _ -> Alcotest.fail "corrupted answer was served"
+  | { Chet_serve.Service.out_result = Error (e, _); _ }, _ ->
+      Alcotest.failf "expected Integrity_violation, got %s" (Herr.error_name e));
+  match serve (fun ~req_seed:_ ~attempt:_ -> clear ()) with
+  | { Chet_serve.Service.out_result = Ok _; out_margin_bits; _ }, failures ->
+      Alcotest.(check int) "no violations" 0 failures;
+      Alcotest.(check bool) "margin measured" true (out_margin_bits > 0.0)
+  | { Chet_serve.Service.out_result = Error (e, _); _ }, _ ->
+      Alcotest.failf "clean sentinel serve failed: %s" (Herr.error_name e)
+
 let suite =
   [
     ( "integrity",
@@ -206,5 +268,7 @@ let suite =
         Alcotest.test_case "precision exhausted before decrypt" `Quick test_precision_exhausted;
         Alcotest.test_case "noise margin gauge" `Quick test_noise_margin_gauge;
         Alcotest.test_case "noise guard off by default" `Quick test_noise_guard_off_by_default;
+        Alcotest.test_case "served sentinel plan catches silent corruption" `Quick
+          test_served_sentinel_plan_catches_silent_corruption;
       ] );
   ]

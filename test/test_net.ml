@@ -54,7 +54,6 @@ let clean_dep () =
     dep_policy = policy ();
     dep_cost_ms = None;
     dep_backend = (fun ~req_seed:_ ~attempt:_ -> clear_backend ());
-    dep_plan = None;
     dep_sentinel = None;
     dep_twin = false;
   }

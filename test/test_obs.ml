@@ -179,8 +179,19 @@ let test_executor_spans () =
       let node_spans =
         List.filter (fun e -> e.Tracer.ev_cat = "executor") (Tracer.events t)
       in
+      (* one span per plan step: every circuit node, plus the layout
+         conversions the plan schedules as steps of their own *)
+      let plan = Chet_runtime.Plan.build ~slots:H.slots ~policy:compiled.Compiler.policy circuit in
+      Alcotest.(check int) "one span per plan step" (Array.length plan.Chet_runtime.Plan.p_steps)
+        (List.length node_spans);
       let nodes = List.length (Chet_nn.Circuit.topo_order circuit) in
-      Alcotest.(check int) "one span per circuit node" nodes (List.length node_spans);
+      let ids =
+        List.sort_uniq compare
+          (List.map
+             (fun e -> match List.assoc "node_id" e.Tracer.ev_attrs with Tracer.Int n -> n | _ -> -1)
+             node_spans)
+      in
+      Alcotest.(check int) "every circuit node has a span" nodes (List.length ids);
       List.iter
         (fun e ->
           Alcotest.(check bool) "span has node_id" true (List.mem_assoc "node_id" e.Tracer.ev_attrs);

@@ -3,8 +3,7 @@
    contract — truncations and bit flips must surface as [Serial.Corrupt],
    never as a crash or a silently wrong schedule. *)
 
-module Plan = Chet_plan.Plan
-module Plan_exec = Chet_plan.Plan_exec
+module Plan = Chet_runtime.Plan
 module Hisa = Chet_hisa.Hisa
 module Clear = Chet_hisa.Clear_backend
 module Serial = Chet_crypto.Serial
@@ -17,9 +16,14 @@ module Dataset = Chet_tensor.Dataset
 
 let slots = 2048
 
-let plan_of ?(policy = Executor.Hw_conv_chw_rest) circuit = Plan.build ~slots ~policy circuit
+let plan_of ?(policy = Executor.Hw_conv_chw_rest) ?twin circuit = Plan.build ?twin ~slots ~policy circuit
 
 let micro_plan () = plan_of (Models.micro.Models.build ())
+
+(* the plain and the twin (sentinel) layout of micro's plan *)
+let micro_frames () =
+  let circuit = Models.micro.Models.build () in
+  (circuit, [ plan_of circuit; plan_of ~twin:true circuit ])
 
 (* --- liveness / arena invariants --------------------------------------- *)
 
@@ -118,38 +122,55 @@ let test_prepare_rejects_invalid () =
              encode_noise = false;
            })
   in
-  let module PE = Plan_exec.Make (H) in
-  match PE.prepare Kernels.default_scales mangled with
+  let module E = Executor.Make (H) in
+  match E.prepare ~pt_budget:Executor.default_pt_budget Kernels.default_scales mangled with
   | _ -> Alcotest.fail "prepare accepted an invalid plan"
   | exception Chet_hisa.Herr.Fhe_error (Chet_hisa.Herr.Invalid_op _, _) -> ()
 
 (* --- PLAN frame: roundtrip and corruption fuzz ------------------------- *)
 
+let check_frame_roundtrip circuit (p : Plan.t) =
+  let p' = Plan.of_string ~circuit (Plan.to_string p) in
+  Alcotest.(check bool) "policy" true (p.Plan.p_policy = p'.Plan.p_policy);
+  Alcotest.(check bool) "input meta (twin flag)" true (p.Plan.p_input_meta = p'.Plan.p_input_meta);
+  Alcotest.(check int) "steps" (Array.length p.Plan.p_steps) (Array.length p'.Plan.p_steps);
+  Alcotest.(check int) "arena" p.Plan.p_arena p'.Plan.p_arena;
+  Alcotest.(check int) "output" p.Plan.p_output p'.Plan.p_output;
+  Alcotest.(check int) "slots" p.Plan.p_slots p'.Plan.p_slots;
+  Array.iteri
+    (fun i (st : Plan.step) ->
+      let st' = p'.Plan.p_steps.(i) in
+      Alcotest.(check int) "node" st.Plan.st_node.Circuit.id st'.Plan.st_node.Circuit.id;
+      Alcotest.(check bool) "op" true (st.Plan.st_op = st'.Plan.st_op);
+      Alcotest.(check bool) "kind" true (st.Plan.st_kind = st'.Plan.st_kind);
+      Alcotest.(check int) "dst" st.Plan.st_dst st'.Plan.st_dst;
+      Alcotest.(check (array int)) "srcs" st.Plan.st_srcs st'.Plan.st_srcs;
+      Alcotest.(check (array int)) "release" st.Plan.st_release st'.Plan.st_release;
+      Alcotest.(check bool) "meta" true (st.Plan.st_meta = st'.Plan.st_meta))
+    p.Plan.p_steps;
+  match Plan.validate p' with
+  | Ok () -> ()
+  | Error r -> Alcotest.failf "reloaded plan invalid: %s" r
+
 let test_frame_roundtrip () =
+  let circuit = Models.micro.Models.build () in
   List.iter
     (fun policy ->
-      let circuit = Models.micro.Models.build () in
-      let p = plan_of ~policy circuit in
-      let p' = Plan.of_string ~circuit (Plan.to_string p) in
-      Alcotest.(check int) "steps" (Array.length p.Plan.p_steps) (Array.length p'.Plan.p_steps);
-      Alcotest.(check int) "arena" p.Plan.p_arena p'.Plan.p_arena;
-      Alcotest.(check int) "output" p.Plan.p_output p'.Plan.p_output;
-      Alcotest.(check int) "slots" p.Plan.p_slots p'.Plan.p_slots;
-      Array.iteri
-        (fun i (st : Plan.step) ->
-          let st' = p'.Plan.p_steps.(i) in
-          Alcotest.(check int) "node" st.Plan.st_node.Circuit.id st'.Plan.st_node.Circuit.id;
-          Alcotest.(check bool) "op" true (st.Plan.st_op = st'.Plan.st_op);
-          Alcotest.(check bool) "kind" true (st.Plan.st_kind = st'.Plan.st_kind);
-          Alcotest.(check int) "dst" st.Plan.st_dst st'.Plan.st_dst;
-          Alcotest.(check (array int)) "srcs" st.Plan.st_srcs st'.Plan.st_srcs;
-          Alcotest.(check (array int)) "release" st.Plan.st_release st'.Plan.st_release;
-          Alcotest.(check bool) "meta" true (st.Plan.st_meta = st'.Plan.st_meta))
-        p.Plan.p_steps;
-      match Plan.validate p' with
-      | Ok () -> ()
-      | Error r -> Alcotest.failf "reloaded plan invalid: %s" r)
-    [ Executor.All_hw; Executor.All_chw; Executor.Hw_conv_chw_rest; Executor.Chw_fc_hw_before ]
+      List.iter
+        (fun twin -> check_frame_roundtrip circuit (plan_of ~policy ~twin circuit))
+        [ false; true ])
+    Executor.all_policies;
+  (* an explicit per-node assignment: every node alternates kind *)
+  let flip = ref false in
+  let kinds = Hashtbl.create 16 in
+  List.iter
+    (fun (node : Circuit.node) ->
+      flip := not !flip;
+      Hashtbl.replace kinds node.Circuit.id
+        (if !flip then Chet_runtime.Layout.HW else Chet_runtime.Layout.CHW))
+    (Circuit.topo_order circuit);
+  check_frame_roundtrip circuit
+    (Plan.build_assigned ~slots ~kind_of:(fun n -> Hashtbl.find kinds n.Circuit.id) circuit)
 
 let test_frame_wrong_circuit () =
   let circuit = Models.micro.Models.build () in
@@ -162,28 +183,34 @@ let test_frame_wrong_circuit () =
   | exception Serial.Corrupt _ -> ()
 
 let test_frame_truncation_every_offset () =
-  let circuit = Models.micro.Models.build () in
-  let bytes = Plan.to_string (plan_of circuit) in
-  for cut = 0 to String.length bytes - 1 do
-    match Plan.of_string ~circuit (String.sub bytes 0 cut) with
-    | _ -> Alcotest.failf "truncation at offset %d accepted" cut
-    | exception Serial.Corrupt _ -> ()
-  done
+  let circuit, plans = micro_frames () in
+  List.iter
+    (fun p ->
+      let bytes = Plan.to_string p in
+      for cut = 0 to String.length bytes - 1 do
+        match Plan.of_string ~circuit (String.sub bytes 0 cut) with
+        | _ -> Alcotest.failf "truncation at offset %d accepted" cut
+        | exception Serial.Corrupt _ -> ()
+      done)
+    plans
 
 let test_frame_bit_flips () =
-  let circuit = Models.micro.Models.build () in
-  let bytes = Plan.to_string (plan_of circuit) in
-  let nbits = 8 * String.length bytes in
+  let circuit, plans = micro_frames () in
   let st = Random.State.make [| 0x504c414e |] in
-  for _ = 1 to 400 do
-    let bit = Random.State.int st nbits in
-    let b = Bytes.of_string bytes in
-    let i = bit / 8 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
-    match Plan.of_string ~circuit (Bytes.to_string b) with
-    | _ -> Alcotest.failf "bit flip at %d accepted" bit
-    | exception Serial.Corrupt _ -> ()
-  done
+  List.iter
+    (fun p ->
+      let bytes = Plan.to_string p in
+      let nbits = 8 * String.length bytes in
+      for _ = 1 to 400 do
+        let bit = Random.State.int st nbits in
+        let b = Bytes.of_string bytes in
+        let i = bit / 8 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+        match Plan.of_string ~circuit (Bytes.to_string b) with
+        | _ -> Alcotest.failf "bit flip at %d accepted" bit
+        | exception Serial.Corrupt _ -> ()
+      done)
+    plans
 
 let suite =
   [

@@ -5,79 +5,18 @@
    and scale management are all exercised by construction. *)
 
 module Hisa = Chet_hisa.Hisa
-module Clear = Chet_hisa.Clear_backend
 module Kernels = Chet_runtime.Kernels
 module Executor = Chet_runtime.Executor
+module Plan = Chet_runtime.Plan
 module Circuit = Chet_nn.Circuit
 module Reference = Chet_nn.Reference
 module T = Chet_tensor.Tensor
-module Dataset = Chet_tensor.Dataset
-
-(* Build a random circuit: input [c; s; s], then a random sequence of layer
-   blocks, then optionally flatten+fc. Shapes are kept small so the whole
-   suite stays fast. *)
-let random_circuit seed =
-  let st = Random.State.make [| seed; 77 |] in
-  let b = Circuit.builder () in
-  let c0 = 1 + Random.State.int st 3 in
-  let s0 = [| 8; 10; 12 |].(Random.State.int st 3) in
-  let x = ref (Circuit.input b ~name:"x" [| c0; s0; s0 |]) in
-  let blocks = 1 + Random.State.int st 3 in
-  for _ = 1 to blocks do
-    let c, h, _ = ((!x).Circuit.shape.(0), (!x).Circuit.shape.(1), (!x).Circuit.shape.(2)) in
-    match Random.State.int st 6 with
-    | 0 ->
-        (* conv, random kernel/padding/stride *)
-        let k = [| 1; 3 |].(Random.State.int st 2) in
-        let padding = if Random.State.bool st then T.Same else T.Valid in
-        let stride = if padding = T.Same && h >= 4 && Random.State.bool st then 2 else 1 in
-        let out_c = 1 + Random.State.int st 4 in
-        if h > k then begin
-          let weights = Dataset.glorot st [| out_c; c; k; k |] in
-          x := Circuit.conv2d b !x ~weights ~bias:(Dataset.bias st out_c) ~stride ~padding ()
-        end
-    | 1 -> if h >= 4 && h mod 2 = 0 then x := Circuit.avg_pool b !x ~ksize:2 ~stride:2
-    | 2 -> x := Circuit.poly_act b !x ~a:(0.05 +. Random.State.float st 0.1) ~b:1.0
-    | 3 -> x := Circuit.square b !x
-    | 4 ->
-        let scale = Array.init c (fun _ -> 0.7 +. Random.State.float st 0.6) in
-        let shift = Array.init c (fun _ -> Random.State.float st 0.2 -. 0.1) in
-        x := Circuit.batch_norm b !x ~scale ~shift
-    | _ ->
-        (* branch: two convs then concat *)
-        let out_c = 1 + Random.State.int st 2 in
-        let w1 = Dataset.glorot st [| out_c; c; 3; 3 |] in
-        let w2 = Dataset.glorot st [| out_c; c; 3; 3 |] in
-        let a = Circuit.conv2d b !x ~weights:w1 ~stride:1 ~padding:T.Same () in
-        let c2 = Circuit.conv2d b !x ~weights:w2 ~stride:1 ~padding:T.Same () in
-        x := Circuit.concat b [ a; c2 ]
-  done;
-  let x =
-    if Random.State.bool st then begin
-      let flat = Circuit.flatten b !x in
-      let out_d = 4 + Random.State.int st 8 in
-      let weights = Dataset.glorot st [| out_d; T.numel_of_shape flat.Circuit.shape |] in
-      Circuit.matmul b flat ~weights ~bias:(Dataset.bias st out_d) ()
-    end
-    else !x
-  in
-  Circuit.finish b ~name:(Printf.sprintf "random-%d" seed) ~output:x
-
-let backend () =
-  Clear.make
-    {
-      Clear.slots = 2048;
-      scheme = Hisa.Rns_chain (Array.make 64 ((1 lsl 30) - 35));
-      strict_modulus = false;
-      encode_noise = false;
-    }
 
 let check_circuit_policy seed policy =
-  let circuit = random_circuit seed in
-  let shape = circuit.Circuit.input.Circuit.shape in
-  let image = Dataset.image ~seed ~channels:shape.(0) ~height:shape.(1) ~width:shape.(2) in
+  let circuit = Golden.random_circuit seed in
+  let image = Golden.random_image seed circuit in
   let expected = Reference.eval circuit image in
-  let module H = (val backend () : Hisa.S) in
+  let module H = (val Golden.random_backend () : Hisa.S) in
   let module E = Executor.Make (H) in
   let got = E.run Kernels.default_scales circuit ~policy image in
   let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
@@ -93,46 +32,33 @@ let prop name policy =
        QCheck2.Gen.(int_range 0 10000)
        (fun seed -> check_circuit_policy seed policy))
 
-(* Compiled plans must be *bit-identical* to the interpretive executor —
-   not merely within tolerance. The staged kernels claim to preserve the
-   per-slot floating-point evaluation order exactly; any deviation here is
-   a fusion bug, not noise. *)
-let check_plan_identical seed policy =
-  let circuit = random_circuit seed in
-  let shape = circuit.Circuit.input.Circuit.shape in
-  let image = Dataset.image ~seed ~channels:shape.(0) ~height:shape.(1) ~width:shape.(2) in
-  let module H = (val backend () : Hisa.S) in
-  let module E = Executor.Make (H) in
-  let module PE = Chet_plan.Plan_exec.Make (H) in
-  let interp = E.run Kernels.default_scales circuit ~policy image in
-  let plan = Chet_plan.Plan.build ~slots:H.slots ~policy circuit in
-  (match Chet_plan.Plan.validate plan with
-  | Ok () -> ()
-  | Error r -> QCheck2.Test.fail_reportf "circuit %d: invalid plan: %s" seed r);
-  let prepared = PE.prepare Kernels.default_scales plan in
-  let planned = PE.run prepared image in
-  if interp.T.shape <> planned.T.shape then
-    QCheck2.Test.fail_reportf "circuit %d under %s: plan shape differs" seed
-      (Executor.policy_name policy)
-  else if interp.T.data <> planned.T.data then begin
-    let diff = T.max_abs_diff (T.flatten interp) (T.flatten planned) in
-    QCheck2.Test.fail_reportf "circuit %d under %s: plan output not bit-identical (max diff %g)"
-      seed (Executor.policy_name policy) diff
-  end
-  else true
+(* Outputs must be *bit-identical* to the goldens in
+   test/data/plan_random.golden — not merely within tolerance. They were
+   recorded from the executor that walked the circuit node by node before
+   plans became the only execution path; the staged kernels preserve the
+   per-slot floating-point evaluation order exactly, so any deviation here
+   is a fusion or scheduling bug, not noise. The seeds are a fixed list
+   (Golden.random_seeds). *)
+let goldens = lazy (Golden.load "data/plan_random.golden")
 
-let plan_prop name policy =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count:25 ~print:string_of_int
-       QCheck2.Gen.(int_range 0 10000)
-       (fun seed -> check_plan_identical seed policy))
+let plan_golden name policy =
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun seed ->
+          match
+            Golden.check (Lazy.force goldens) (Golden.random_key seed policy)
+              (Golden.random_output seed policy)
+          with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "circuit %d under %s: %s" seed (Executor.policy_name policy) e)
+        Golden.random_seeds)
 
 let test_random_assignments () =
-  (* arbitrary per-node assignments (not just the four policies) must also be
-     correct — conversions can appear anywhere *)
+  (* plans built from arbitrary per-node assignments (not just the four
+     policies) must also be correct — conversions can appear anywhere *)
   let st = Random.State.make [| 4242 |] in
   for seed = 0 to 7 do
-    let circuit = random_circuit seed in
+    let circuit = Golden.random_circuit seed in
     let kinds = Hashtbl.create 16 in
     List.iter
       (fun (node : Circuit.node) ->
@@ -140,15 +66,15 @@ let test_random_assignments () =
           (if Random.State.bool st then Chet_runtime.Layout.HW else Chet_runtime.Layout.CHW))
       (Circuit.topo_order circuit);
     let kind_of (node : Circuit.node) = Hashtbl.find kinds node.Circuit.id in
-    let shape = circuit.Circuit.input.Circuit.shape in
-    let image = Dataset.image ~seed ~channels:shape.(0) ~height:shape.(1) ~width:shape.(2) in
+    let image = Golden.random_image seed circuit in
     let expected = Reference.eval circuit image in
-    let module H = (val backend () : Hisa.S) in
+    let module H = (val Golden.random_backend () : Hisa.S) in
     let module E = Executor.Make (H) in
-    let meta = E.input_meta circuit ~kind:(kind_of circuit.Circuit.input) in
-    let enc = E.K.encrypt_tensor Kernels.default_scales meta image in
-    let out = E.run_encrypted_with Kernels.default_scales circuit ~kind_of enc in
-    let got = E.K.decrypt_tensor out in
+    let plan = Plan.build_assigned ~slots:H.slots ~kind_of circuit in
+    (match Plan.validate plan with
+    | Ok () -> ()
+    | Error r -> Alcotest.failf "random assignment on circuit %d: invalid plan: %s" seed r);
+    let got = E.run_prepared (E.prepare ~pt_budget:0 Kernels.default_scales plan) image in
     let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
     let bound = 2e-2 *. Float.max 1.0 (T.max_abs expected) in
     if diff > bound then
@@ -162,10 +88,10 @@ let suite =
         prop "random circuits: HW" Executor.All_hw;
         prop "random circuits: CHW" Executor.All_chw;
         prop "random circuits: HW-conv CHW-rest" Executor.Hw_conv_chw_rest;
-        plan_prop "plan bit-identical: HW" Executor.All_hw;
-        plan_prop "plan bit-identical: CHW" Executor.All_chw;
-        plan_prop "plan bit-identical: HW-conv CHW-rest" Executor.Hw_conv_chw_rest;
-        plan_prop "plan bit-identical: CHW-fc HW-before" Executor.Chw_fc_hw_before;
+        plan_golden "plan bit-identical: HW" Executor.All_hw;
+        plan_golden "plan bit-identical: CHW" Executor.All_chw;
+        plan_golden "plan bit-identical: HW-conv CHW-rest" Executor.Hw_conv_chw_rest;
+        plan_golden "plan bit-identical: CHW-fc HW-before" Executor.Chw_fc_hw_before;
         Alcotest.test_case "random per-node assignments" `Slow test_random_assignments;
       ] );
   ]

@@ -54,7 +54,6 @@ let dep ?(label = "primary") ?(degraded = false) ?cost_ms backend =
     dep_policy = policy ();
     dep_cost_ms = cost_ms;
     dep_backend = backend;
-    dep_plan = None;
     dep_sentinel = None;
     dep_twin = false;
   }
@@ -495,7 +494,7 @@ let test_graceful_drain () =
           | Error e -> Alcotest.failf "persisted state rejected: %s" (Herr.error_name e)))
 
 (* --- cooperative cancellation (DESIGN.md §13) ------------------------
-   A mid-circuit cancel must free the worker at the next node boundary with
+   A mid-circuit cancel must free the worker at the next step boundary with
    a typed [Cancelled] carrying the node id — and the pool must keep
    serving. The backend pauses inside its first multiply so the test can
    cancel while the executor is provably mid-circuit, then opens the gate:
@@ -664,6 +663,42 @@ let test_backoff_clamped_to_budget () =
       Alcotest.(check (float 1e-6)) "clock parked at the deadline" 0.1 (Atomic.get clock);
       Alcotest.(check int) "retries stopped early" 2 o.Service.out_attempts)
 
+(* The reduced-scale rung of the default ladder runs as a plan prepared at
+   its own (smaller) scales: with the primary persistently failing, it
+   answers, marked degraded, within the sentinel tolerance of the clear
+   reference. *)
+let test_reduced_rung_plan_within_tolerance () =
+  let compiled = Lazy.force compiled in
+  let ladder =
+    Service.ladder_of_factory compiled ~factory:(fun ~req_seed:_ -> clear_backend ())
+      ~clear_fallback:false ()
+  in
+  let reduced =
+    match ladder with
+    | [ _primary; r ] -> r
+    | _ -> Alcotest.fail "expected a primary and one reduced-scale rung"
+  in
+  Alcotest.(check string) "rung" "reduced-scale-1" reduced.Service.dep_label;
+  Alcotest.(check bool) "own scales" true
+    (reduced.Service.dep_scales <> seal_opts.Compiler.scales);
+  let svc = Service.create (quick_cfg ()) ~circuit:micro ~ladder:[ persistent_fault_dep (); reduced ] in
+  Fun.protect
+    ~finally:(fun () -> Service.shutdown svc)
+    (fun () ->
+      List.iter
+        (fun i ->
+          let o = Service.infer svc ~seed:i (image i) in
+          match o.Service.out_result with
+          | Ok got ->
+              Alcotest.(check string) "served by" "reduced-scale-1" o.Service.out_served_by;
+              Alcotest.(check bool) "degraded" true o.Service.out_degraded;
+              let expected = Chet_nn.Reference.eval micro (image i) in
+              let diff = T.max_abs_diff (T.flatten expected) (T.flatten got) in
+              if diff > Chet.Integrity.default_tolerance then
+                Alcotest.failf "reduced rung answer off by %g" diff
+          | Error (e, _) -> Alcotest.failf "reduced rung failed: %s" (Herr.error_name e))
+        [ 0; 1; 2 ])
+
 let suite =
   [
     ( "serve",
@@ -700,5 +735,7 @@ let suite =
           test_deadline_aware_rung_selection;
         Alcotest.test_case "retry backoff clamped to remaining budget" `Quick
           test_backoff_clamped_to_budget;
+        Alcotest.test_case "reduced-scale rung answers through a plan within tolerance" `Quick
+          test_reduced_rung_plan_within_tolerance;
       ] );
   ]

@@ -402,7 +402,18 @@ let test_bundle_warm_restart_bit_identical () =
           let r = run restored in
           Alcotest.(check (float 0.0))
             "warm-restarted inference is bit-identical" 0.0
-            (T.max_abs_diff (T.flatten a) (T.flatten r)))
+            (T.max_abs_diff (T.flatten a) (T.flatten r));
+          (* the stored PLAN frame, prepared once per worker: the same bits,
+             on the first request and on a request reusing the prepared
+             executor *)
+          match Bundle.restore_plan_runner b ~with_secret:true with
+          | None -> Alcotest.fail "bundle restored without its plan"
+          | Some (runner, _) ->
+              List.iter
+                (fun what ->
+                  let p = runner ~worker:0 ~req_seed:77 img in
+                  Alcotest.(check bool) what true (p.T.data = a.T.data))
+                [ "plan runner bit-identical"; "prepared plan reused bit-identical" ])
 
 let suite =
   [
