@@ -111,10 +111,19 @@ let zero_image circuit =
    Sentinel deployments execute on the interleaved twin layout, so every
    analysis pass sees that geometry: its extents (parameter selection), its
    op mix (cost), and its doubled rotation amounts (rotation-key
-   selection). *)
+   selection).
+
+   [backend] is always a Shape_backend under value-blind wrappers (Checked,
+   Sim, Instrument), and only scale, level and op facts are read back, so
+   the executor stages every plaintext without building its slot vector.
+   Circuit constants are screened once by [compile] instead. *)
 let run_through (backend : Hisa.t) opts circuit ~policy =
   let module H = (val backend) in
-  let module E = Executor.Make (H) in
+  let module E = Executor.Make_over (struct
+    include H
+
+    let value_free = true
+  end) in
   let plan = Plan.build ~twin:opts.sentinel ~slots:H.slots ~policy circuit in
   let enc = E.K.encrypt_tensor opts.scales plan.Plan.p_input_meta (zero_image circuit) in
   let out = E.run_once_encrypted opts.scales plan enc in
@@ -247,7 +256,35 @@ let select_rotations opts circuit ~policy ~params =
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The analyses build no plaintext values, so no checked encode on their
+   path sees a circuit constant: screen every constant once instead. A
+   non-finite conv or matmul weight or bias, batch-norm scale or shift, or
+   activation coefficient raises the typed [Numeric_blowup] at its node;
+   [slot] is the constant's index. *)
+let screen_constants circuit =
+  let screen (node : Circuit.node) values =
+    Array.iteri
+      (fun i x ->
+        if not (Float.is_finite x) then
+          Herr.raise_err ~backend:"compiler" ~node_id:node.Circuit.id ~layer:(Plan.op_name node)
+            ~op:"constants" (Herr.Numeric_blowup { slot = i; value = x }))
+      values
+  in
+  List.iter
+    (fun (node : Circuit.node) ->
+      match node.Circuit.op with
+      | Circuit.Conv2d { weights; bias; _ } | Circuit.MatMul { weights; bias; _ } ->
+          screen node weights.Tensor.data;
+          Option.iter (screen node) bias
+      | Circuit.BatchNorm { scale; shift; _ } ->
+          screen node scale;
+          screen node shift
+      | Circuit.PolyAct { a; b; _ } -> screen node [| a; b |]
+      | _ -> ())
+    (Circuit.topo_order circuit)
+
 let compile opts circuit =
+  screen_constants circuit;
   let reports =
     List.map
       (fun policy ->

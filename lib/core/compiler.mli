@@ -79,7 +79,10 @@ val select_rotations :
 
 val compile : options -> Circuit.t -> compiled
 (** The full pipeline: explore all four layout policies, pick the cheapest,
-    fix parameters and rotation keys. *)
+    fix parameters and rotation keys.
+    @raise Chet_hisa.Herr.Fhe_error [Numeric_blowup], carrying the node, when
+    a weight, bias, batch-norm scale or shift or activation coefficient is
+    NaN or infinite (checked once, before the analyses). *)
 
 val pp_compiled : Format.formatter -> compiled -> unit
 

@@ -31,19 +31,41 @@ let make (cfg : config) : Hisa.t =
     let slots = cfg.slots
 
     type pt = { pv : float array; pscale : float }
-    type ct = { v : float array; scale : float; budget : budget }
+    (* Slot [i] of a ciphertext is [v.(idx off i)]: a rotation moves only
+       [off], so it allocates no vector and a rotated ciphertext shares its
+       source's. Every other op reads slots through the view and writes a
+       fresh vector at offset 0; the values are those of a materialised
+       rotation, bit for bit. *)
+    type ct = { v : float array; off : int; scale : float; budget : budget }
 
-    let fit values =
-      let v = Array.make cfg.slots 0.0 in
-      Array.blit values 0 v 0 (Stdlib.min (Array.length values) cfg.slots);
-      v
+    let idx off i =
+      let j = i + off in
+      if j >= cfg.slots then j - cfg.slots else j
+
+    let slot ct i = ct.v.(idx ct.off i)
+
+    (* A fresh vector [r] with [r.(i) = f i j] for every slot [i], [j]
+       being [i]'s index in a vector viewed at [off]. *)
+    let init_view off f =
+      let n = cfg.slots in
+      let r = Array.create_float n in
+      for i = 0 to n - off - 1 do
+        r.(i) <- f i (i + off)
+      done;
+      for i = n - off to n - 1 do
+        r.(i) <- f i (i + off - n)
+      done;
+      r
 
     let encode values ~scale =
       (* model fixed-point quantisation: values are representable only at
          multiples of 1/scale, as in the real encoders — this is what makes
          the profile-guided scale search (§5.5) meaningful on this backend *)
       let s = float_of_int scale in
-      let pv = Array.map (fun v -> Float.round (v *. s) /. s) (fit values) in
+      let n = Array.length values in
+      let pv =
+        Array.init cfg.slots (fun i -> if i < n then Float.round (values.(i) *. s) /. s else 0.0)
+      in
       if cfg.encode_noise then begin
         let all_equal = Array.for_all (fun v -> v = pv.(0)) pv in
         if not all_equal then begin
@@ -61,15 +83,14 @@ let make (cfg : config) : Hisa.t =
       end;
       { pv; pscale = s }
     let decode pt = Array.copy pt.pv
-    let encrypt pt = { v = Array.copy pt.pv; scale = pt.pscale; budget = initial_budget cfg.scheme }
-    let decrypt ct = { pv = Array.copy ct.v; pscale = ct.scale }
+    let encrypt pt = { v = Array.copy pt.pv; off = 0; scale = pt.pscale; budget = initial_budget cfg.scheme }
+    let decrypt ct = { pv = init_view ct.off (fun _ j -> ct.v.(j)); pscale = ct.scale }
     let copy ct = { ct with v = Array.copy ct.v }
     let free _ = ()
 
     let rot_left ct k =
       let n = cfg.slots in
-      let k = ((k mod n) + n) mod n in
-      { ct with v = Array.init n (fun i -> ct.v.((i + k) mod n)) }
+      { ct with off = idx ct.off (((k mod n) + n) mod n) }
 
     let rot_right ct k = rot_left ct (-k)
 
@@ -90,25 +111,32 @@ let make (cfg : config) : Hisa.t =
       if not (scales_compatible a.scale b.scale) then
         err ~op (Herr.Scale_mismatch { expected = a.scale; got = b.scale })
 
-    let map2 f a b = Array.init cfg.slots (fun i -> f a.(i) b.(i))
+    (* [f] of the slots of [a] and [b]; at most one of them rotated is the
+       common case (fresh results sit at offset 0) *)
+    let map2 f a b =
+      if a.off = 0 then init_view b.off (fun i j -> f a.v.(i) b.v.(j))
+      else if b.off = 0 then init_view a.off (fun i j -> f a.v.(j) b.v.(i))
+      else Array.init cfg.slots (fun i -> f (slot a i) (slot b i))
+
+    let map_plain f c p = init_view c.off (fun i j -> f c.v.(j) p.pv.(i))
 
     let add a b =
       check2 "add" a b;
-      { a with v = map2 ( +. ) a.v b.v; budget = budget_min ~op:"add" a.budget b.budget }
+      { a with v = map2 ( +. ) a b; off = 0; budget = budget_min ~op:"add" a.budget b.budget }
 
     let sub a b =
       check2 "sub" a b;
-      { a with v = map2 ( -. ) a.v b.v; budget = budget_min ~op:"sub" a.budget b.budget }
+      { a with v = map2 ( -. ) a b; off = 0; budget = budget_min ~op:"sub" a.budget b.budget }
 
     let add_plain c p =
       if not (scales_compatible c.scale p.pscale) then
         err ~op:"add_plain" (Herr.Scale_mismatch { expected = c.scale; got = p.pscale });
-      { c with v = map2 ( +. ) c.v p.pv }
+      { c with v = map_plain ( +. ) c p; off = 0 }
 
     let sub_plain c p =
       if not (scales_compatible c.scale p.pscale) then
         err ~op:"sub_plain" (Herr.Scale_mismatch { expected = c.scale; got = p.pscale });
-      { c with v = map2 ( -. ) c.v p.pv }
+      { c with v = map_plain ( -. ) c p; off = 0 }
 
     let add_scalar c x = { c with v = Array.map (fun a -> a +. x) c.v }
     let sub_scalar c x = add_scalar c (-.x)
@@ -155,12 +183,12 @@ let make (cfg : config) : Hisa.t =
       check_depth ~op:"mul" a;
       let budget = budget_min ~op:"mul" a.budget b.budget in
       check_capacity ~op:"mul" budget (a.scale *. b.scale);
-      { v = map2 ( *. ) a.v b.v; scale = a.scale *. b.scale; budget }
+      { v = map2 ( *. ) a b; off = 0; scale = a.scale *. b.scale; budget }
 
     let mul_plain c p =
       check_depth ~op:"mul_plain" c;
       check_capacity ~op:"mul_plain" c.budget (c.scale *. p.pscale);
-      { c with v = map2 ( *. ) c.v p.pv; scale = c.scale *. p.pscale }
+      { c with v = map_plain ( *. ) c p; off = 0; scale = c.scale *. p.pscale }
 
     let mul_scalar c x ~scale =
       check_depth ~op:"mul_scalar" c;
@@ -183,7 +211,10 @@ let make (cfg : config) : Hisa.t =
         err ~op:"fma_scalar" (Herr.Scale_mismatch { expected = acc.scale; got = product_scale });
       let quantised = Float.round (w *. float_of_int scale) /. float_of_int scale in
       {
-        v = Array.init cfg.slots (fun i -> acc.v.(i) +. (x.v.(i) *. quantised));
+        v =
+          (if acc.off = 0 then init_view x.off (fun i j -> acc.v.(i) +. (x.v.(j) *. quantised))
+           else Array.init cfg.slots (fun i -> slot acc i +. (slot x i *. quantised)));
+        off = 0;
         scale = acc.scale;
         budget = budget_min ~op:"fma_scalar" acc.budget x.budget;
       }
@@ -195,7 +226,10 @@ let make (cfg : config) : Hisa.t =
       if not (scales_compatible acc.scale product_scale) then
         err ~op:"fma_plain" (Herr.Scale_mismatch { expected = acc.scale; got = product_scale });
       {
-        v = Array.init cfg.slots (fun i -> acc.v.(i) +. (x.v.(i) *. p.pv.(i)));
+        v =
+          (if acc.off = 0 then init_view x.off (fun i j -> acc.v.(i) +. (x.v.(j) *. p.pv.(i)))
+           else Array.init cfg.slots (fun i -> slot acc i +. (slot x i *. p.pv.(i))));
+        off = 0;
         scale = acc.scale;
         budget = budget_min ~op:"fma_plain" acc.budget x.budget;
       }
@@ -203,10 +237,13 @@ let make (cfg : config) : Hisa.t =
     let fma_rot acc x r =
       check2 "fma_rot" acc x;
       let n = cfg.slots in
-      let k = ((r mod n) + n) mod n in
+      let k = idx x.off (((r mod n) + n) mod n) in
       {
         acc with
-        v = Array.init n (fun i -> acc.v.(i) +. x.v.((i + k) mod n));
+        v =
+          (if acc.off = 0 then init_view k (fun i j -> acc.v.(i) +. x.v.(j))
+           else Array.init n (fun i -> slot acc i +. x.v.(idx k i)));
+        off = 0;
         budget = budget_min ~op:"fma_rot" acc.budget x.budget;
       }
 

@@ -8,7 +8,11 @@
    - Sim_backend   : Clear + a latency clock driven by a cost model
 
    The compiler's data-flow analyses (lib/core) are further implementations
-   of this signature whose [ct] is the data-flow fact. *)
+   of this signature whose [ct] is the data-flow fact. They ignore plaintext
+   values; that fact is not a member of [S] (OCaml signatures have no
+   defaulted members, so a new one would break every implementation outside
+   this tree) but an argument of the runtime's functors:
+   [Kernels.BACKEND.value_free], which [Compiler.run_through] sets. *)
 
 (** How the target scheme restricts [rescale] divisors — the only scheme
     behaviour the analyses must reproduce exactly (§5.2). *)

@@ -59,8 +59,8 @@ let arena_live_gauge =
     (Metrics.gauge Metrics.default ~help:"live arena slots, high-water mark of the last run"
        "chet_plan_arena_live_hwm")
 
-module Make (H : Hisa.S) = struct
-  module K = Kernels.Make (H)
+module Make_over (H : Kernels.BACKEND) = struct
+  module K = Kernels.Make_over (H)
 
   type prepared = {
     pr_plan : Plan.t;
@@ -279,3 +279,10 @@ module Make (H : Hisa.S) = struct
     let plan = Plan.build ~twin ~slots:H.slots ~policy circuit in
     roundtrip ?sentinel cfg plan image (run_once_encrypted ?cancel cfg plan)
 end
+
+(* Every backend that holds plaintext values. *)
+module Make (H : Hisa.S) = Make_over (struct
+  include H
+
+  let value_free = false
+end)

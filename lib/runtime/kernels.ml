@@ -55,7 +55,19 @@ let conv_geometry meta ~kh ~kw ~stride ~padding =
    output position (y0, x0) *)
 let tap_rotation meta ~dy ~dx = (dy * meta.Layout.row_stride) + (dx * meta.Layout.col_stride)
 
-module Make (H : Hisa.S) = struct
+(* What plaintext staging needs to know of a backend beyond [Hisa.S]. *)
+module type BACKEND = sig
+  include Hisa.S
+
+  val value_free : bool
+  (** [encode] reads only its [~scale], never the values: the compiler's
+      analysis stacks over {!Chet_hisa.Shape_backend}. Staging then hands
+      [encode] an empty vector instead of building a [slots]-long one. The
+      encodes, ops and rotations run in the same order either way,
+      so every scale, level, op count and typed error is unchanged. *)
+end
+
+module Make_over (H : BACKEND) = struct
   type ct_tensor = { meta : Layout.meta; cts : H.ct array }
 
   let rot ct amount =
@@ -81,9 +93,16 @@ module Make (H : Hisa.S) = struct
 
   (* --- encryptor / decryptor --------------------------------------- *)
 
+  (* [build x], unless the backend ignores plaintext values *)
+  let values build x = if H.value_free then [||] else build x
+
   let encrypt_tensor ?probe cfg meta tensor =
-    let vecs = Layout.pack ?probe meta tensor in
-    { meta; cts = Array.map (fun v -> H.encrypt (H.encode v ~scale:cfg.pc)) vecs }
+    let encrypt v = H.encrypt (H.encode v ~scale:cfg.pc) in
+    if H.value_free then begin
+      Layout.check_pack ~probe meta tensor;
+      { meta; cts = Array.init (Layout.num_cts meta) (fun _ -> encrypt [||]) }
+    end
+    else { meta; cts = Array.map encrypt (Layout.pack ?probe meta tensor) }
 
   let decrypt_tensor t =
     Layout.unpack t.meta (Array.map (fun ct -> H.decode (H.decrypt ct)) t.cts)
@@ -127,17 +146,18 @@ module Make (H : Hisa.S) = struct
      one closure per plaintext: a zero-budget executor then holds nothing
      per plaintext, which keeps the analysis passes' live heap small. *)
   let staged_pts budget n build ~scale =
-    if !budget = 0 then fun i -> H.encode (build i) ~scale
+    let encode i = H.encode (values build i) ~scale in
+    if !budget = 0 then encode
     else begin
       let pts =
         Array.init n (fun i ->
             if !budget > 0 then begin
               decr budget;
-              Some (H.encode (build i) ~scale)
+              Some (encode i)
             end
             else None)
       in
-      fun i -> match pts.(i) with Some p -> p | None -> H.encode (build i) ~scale
+      fun i -> match pts.(i) with Some p -> p | None -> encode i
     end
 
   (* Dynamic-scale plaintexts (biases/shifts encode at the scale observed
@@ -146,14 +166,15 @@ module Make (H : Hisa.S) = struct
      (ct index, scale); without budget each is built at its use, so no slot
      vector outlives it. *)
   let dynamic_pts budget build_ct =
-    if !budget = 0 then fun i ~scale -> H.encode (build_ct i) ~scale
+    let encode i ~scale = H.encode (values build_ct i) ~scale in
+    if !budget = 0 then encode
     else begin
       let cache = Hashtbl.create 4 in
       fun i ~scale ->
         match Hashtbl.find_opt cache (i, scale) with
         | Some p -> p
         | None ->
-            let p = H.encode (build_ct i) ~scale in
+            let p = encode i ~scale in
             Hashtbl.add cache (i, scale) p;
             p
     end
@@ -177,6 +198,28 @@ module Make (H : Hisa.S) = struct
   (* the mulPlain+rescale peephole: mask and renormalise in one traversal *)
   let mask_normalize cfg cts pts =
     Array.mapi (fun i ct -> rescale_toward cfg (H.mul_plain ct (pts i))) cts
+
+  (* The kernel-window taps [(a, dy, dx)], [a < na], that [keep] selects,
+     in ascending order as two flat arrays: [a] and the offset [dy*kw+dx].
+     Counted first, so nothing is allocated per tap. *)
+  let select_taps na ~kh ~kw keep =
+    let n = ref 0 in
+    for a = 0 to na - 1 do
+      for d = 0 to (kh * kw) - 1 do
+        if keep a (d / kw) (d mod kw) then incr n
+      done
+    done;
+    let as_ = Array.make !n 0 and ds = Array.make !n 0 and i = ref 0 in
+    for a = 0 to na - 1 do
+      for d = 0 to (kh * kw) - 1 do
+        if keep a (d / kw) (d mod kw) then begin
+          as_.(!i) <- a;
+          ds.(!i) <- d;
+          incr i
+        end
+      done
+    done;
+    (as_, ds)
 
   (* rotated input ciphertexts of one inference, shared across taps *)
   let rotation_cache (t : ct_tensor) =
@@ -205,7 +248,10 @@ module Make (H : Hisa.S) = struct
     let ph, pw_, out_spatial = conv_geometry meta ~kh ~kw ~stride ~padding in
     let out_meta = Layout.with_channels out_spatial cout in
     check_taps ~op:"conv2d" meta (tap_rotation meta ~dy:ph ~dx:pw_);
-    let w_at o c dy dx = Tensor.get weights [| o; c; dy; dx |] in
+    (* rotation of kernel offset d = dy*kw + dx *)
+    let rotation d = tap_rotation meta ~dy:((d / kw) - ph) ~dx:((d mod kw) - pw_) in
+    let wd = weights.Tensor.data in
+    let w_at o c dy dx = wd.((((((o * cin) + c) * kh) + dy) * kw) + dx) in
     let bias_pts =
       Option.map
         (fun bs -> dynamic_pts budget (fun j -> Layout.plain_ct out_meta j (fun c _ _ -> bs.(c))))
@@ -229,19 +275,8 @@ module Make (H : Hisa.S) = struct
            them for every convolution of the circuit. *)
         let taps =
           Array.init cout (fun o ->
-              let l = ref [] in
-              for c = cin - 1 downto 0 do
-                for dy = kh - 1 downto 0 do
-                  for dx = kw - 1 downto 0 do
-                    let w = w_at o c dy dx in
-                    if w <> 0.0 then l := (c, tap_rotation meta ~dy:(dy - ph) ~dx:(dx - pw_), w) :: !l
-                  done
-                done
-              done;
-              let a = Array.of_list !l in
-              ( Array.map (fun (c, _, _) -> c) a,
-                Array.map (fun (_, r, _) -> r) a,
-                Array.map (fun (_, _, w) -> w) a ))
+              let cs, ds = select_taps cin ~kh ~kw (fun c dy dx -> w_at o c dy dx <> 0.0) in
+              (cs, Array.map rotation ds, Array.mapi (fun i d -> w_at o cs.(i) (d / kw) (d mod kw)) ds))
         in
         let nout = Layout.num_cts out_meta in
         let mask_pts =
@@ -283,27 +318,16 @@ module Make (H : Hisa.S) = struct
           any c_lo
         in
         (* per output channel: the nonzero taps as flat arrays (input
-           ciphertext, kernel offset dy*kw+dx, rotation) and their weight
-           plaintexts *)
+           ciphertext, rotation) and their weight plaintexts *)
         let taps =
           Array.init cout (fun o ->
-              let l = ref [] in
-              for j = in_cts_n - 1 downto 0 do
-                for dy = kh - 1 downto 0 do
-                  for dx = kw - 1 downto 0 do
-                    if tap_nonzero o j dy dx then
-                      l := (j, (dy * kw) + dx, tap_rotation meta ~dy:(dy - ph) ~dx:(dx - pw_)) :: !l
-                  done
-                done
-              done;
-              let a = Array.of_list !l in
-              let js = Array.map (fun (j, _, _) -> j) a and ds = Array.map (fun (_, d, _) -> d) a in
+              let js, ds = select_taps in_cts_n ~kh ~kw (tap_nonzero o) in
               let pts =
-                staged_pts budget (Array.length a)
+                staged_pts budget (Array.length js)
                   (fun i -> Layout.plain_ct mid_meta js.(i) (fun c _ _ -> w_at o c (ds.(i) / kw) (ds.(i) mod kw)))
                   ~scale:cfg.pw
               in
-              (js, Array.map (fun (_, _, r) -> r) a, pts))
+              (js, Array.map rotation ds, pts))
         in
         let mask_pts =
           staged_pts budget cout
@@ -474,7 +498,7 @@ module Make (H : Hisa.S) = struct
         (fun i ->
           let o = i / n_in in
           Layout.plain_ct meta (i mod n_in) (fun c h w_ ->
-              Tensor.get weights [| o; Layout.flat_index meta ~c ~h ~w:w_ |]))
+              weights.Tensor.data.((o * in_dim) + Layout.flat_index meta ~c ~h ~w:w_)))
         ~scale:cfg.pw
     in
     (* select slot o (and its twin) *)
@@ -578,7 +602,7 @@ module Make (H : Hisa.S) = struct
                 let oc = !next + c in
                 (* isolate channel c, move it from its block to oc's block *)
                 let src = Layout.ct_index t.meta c in
-                let mask_c = Layout.plain_ct t.meta src (fun c' _ _ -> if c' = c then 1.0 else 0.0) in
+                let mask_c = values (Layout.plain_ct t.meta src) (fun c' _ _ -> if c' = c then 1.0 else 0.0) in
                 let isolated = H.mul_plain t.cts.(src) (H.encode mask_c ~scale:mask_scale) in
                 let delta =
                   ((oc mod cpc) - (c mod t.meta.Layout.ch_per_ct)) * out_meta.Layout.ch_stride
@@ -644,3 +668,10 @@ module Make (H : Hisa.S) = struct
           { sg_run = run; sg_mul_rescale = meta.Layout.channels; sg_rot_acc = 0; sg_mul_acc = 0 }
     end
 end
+
+(* Every backend that holds plaintext values. *)
+module Make (H : Hisa.S) = Make_over (struct
+  include H
+
+  let value_free = false
+end)

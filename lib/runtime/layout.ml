@@ -114,14 +114,17 @@ let check_shape ~op meta t =
              "[" ^ String.concat "; " (Array.to_list (Array.map string_of_int t.Tensor.shape)) ^ "]";
          })
 
-let pack ?probe meta t =
+let check_pack ~probe meta t =
   check_shape ~op:"pack" meta t;
-  (match probe with
+  match probe with
   | Some p ->
       if not meta.twin then
         err ~op:"pack" (Herr.Invalid_op { reason = "sentinel probe on a layout without twin slots" });
       check_shape ~op:"pack" meta p
-  | None -> ());
+  | None -> ()
+
+let pack ?probe meta t =
+  check_pack ~probe meta t;
   let out = Array.init (num_cts meta) (fun _ -> Array.make meta.slots 0.0) in
   iter_positions meta (fun c h w ->
       let v = t.Tensor.data.(flat_index meta ~c ~h ~w) in

@@ -65,6 +65,11 @@ val flat_index : meta -> c:int -> h:int -> w:int -> int
 val iter_positions : meta -> (int -> int -> int -> unit) -> unit
 (** Visit every logical [(c, h, w)] position. *)
 
+val check_pack : probe:Chet_tensor.Tensor.t option -> meta -> Chet_tensor.Tensor.t -> unit
+(** The checks of {!pack} without the packing: the metadata-only encryptor
+    of a value-free backend still rejects what [pack] would.
+    @raise Chet_herr.Herr.Fhe_error as {!pack} does. *)
+
 val pack : ?probe:Chet_tensor.Tensor.t -> meta -> Chet_tensor.Tensor.t -> float array array
 (** Lay a cleartext tensor out physically — the Encryptor side. [probe]
     (twin layouts only) is the sentinel tensor packed into the odd slots.

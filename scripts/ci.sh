@@ -13,6 +13,16 @@ dune build
 echo "== tests =="
 dune runtest
 
+echo "== smoke: compile zoo =="
+# Every zoo network through `chet compile` under one hard cap. The analysis
+# passes build no plaintext slot vectors (DESIGN.md §4), so the whole zoo
+# compiles in about a second; if staging starts building them again, the
+# largest network alone takes tens of seconds and this step fails instead
+# of compile time drifting up unnoticed.
+timeout 60 bash -c 'for m in micro LeNet-5-small LeNet-5-medium LeNet-5-large Industrial SqueezeNet-CIFAR; do
+  ./_build/default/bin/chet_cli.exe compile "$m" >/dev/null
+done'
+
 echo "== smoke: examples =="
 dune build @smoke
 

@@ -1,6 +1,8 @@
-(* Writes the executor goldens: test/data/plan_random.golden (every fixed
-   random-circuit seed under every layout policy) and
-   test/data/plan_models.golden (every zoo model at its compiled policy).
+(* Writes the goldens: test/data/plan_random.golden (every fixed
+   random-circuit seed under every layout policy),
+   test/data/plan_models.golden (every zoo model at its compiled policy)
+   and test/data/compile_models.golden (every compile decision of
+   Golden.compile_cases).
 
    Usage: dune exec test/golden/gen_golden.exe -- DIR *)
 
@@ -20,4 +22,5 @@ let () =
        Golden.random_seeds);
   write
     (Filename.concat dir "plan_models.golden")
-    (List.map (fun spec -> Golden.line (Golden.model_key spec) (Golden.model_output spec)) Golden.models)
+    (List.map (fun spec -> Golden.line (Golden.model_key spec) (Golden.model_output spec)) Golden.models);
+  write (Filename.concat dir "compile_models.golden") (List.map Golden.compile_line Golden.compile_cases)

@@ -130,6 +130,49 @@ let model_output (spec : Models.spec) =
 
 let models = Models.micro :: Models.all
 
+(* --- compile decisions ---------------------------------------------------- *)
+
+(* Everything [Compiler.compile] decides for one circuit: policy, params,
+   the rotation multiset, the op counters and every policy's estimated cost
+   (as %h, so any bit of it shows). A compile that fails records its
+   exception instead. *)
+let compile_digest (c : Compiler.compiled) =
+  let module I = Chet_hisa.Instrument in
+  let oc = c.Compiler.op_counters in
+  Format.asprintf "%s|%a|%s|%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d|%s"
+    (Executor.policy_name c.Compiler.policy)
+    Compiler.pp_params c.Compiler.params
+    (String.concat ";" (List.map (fun (r, k) -> Printf.sprintf "%d:%d" r k) c.Compiler.rotations))
+    oc.I.encodes oc.I.decodes oc.I.encrypts oc.I.decrypts oc.I.adds oc.I.plain_adds
+    oc.I.scalar_adds oc.I.ct_muls oc.I.plain_muls oc.I.scalar_muls oc.I.rescales
+    (String.concat ";"
+       (List.map
+          (fun r ->
+            Format.asprintf "%s=%a@%h" (Executor.policy_name r.Compiler.pr_policy)
+              Compiler.pp_params r.Compiler.pr_params r.Compiler.pr_cost)
+          c.Compiler.reports))
+
+(* micro and every zoo model, for both targets, with sentinels off and on *)
+let compile_cases =
+  List.concat_map
+    (fun target ->
+      List.concat_map
+        (fun sentinel -> List.map (fun spec -> (target, sentinel, spec)) models)
+        [ false; true ])
+    [ Compiler.Seal; Compiler.Heaan ]
+
+let compile_key (target, sentinel, (spec : Models.spec)) =
+  Printf.sprintf "compile/%s/%s/%s"
+    (match target with Compiler.Seal -> "seal" | Compiler.Heaan -> "heaan")
+    (if sentinel then "sentinel" else "plain")
+    spec.Models.model_name
+
+let compile_output (target, sentinel, (spec : Models.spec)) =
+  let opts = { (Compiler.default_options ~target ()) with Compiler.sentinel } in
+  match Compiler.compile opts (spec.Models.build ()) with
+  | c -> compile_digest c
+  | exception e -> "error " ^ Printexc.to_string e
+
 (* --- files -------------------------------------------------------------- *)
 
 (* One entry per line: "<key> <shape> <md5>". *)
@@ -145,6 +188,7 @@ let load path =
   h
 
 let line key t = Printf.sprintf "%s %s" key (digest t)
+let compile_line case = Printf.sprintf "%s %s" (compile_key case) (compile_output case)
 
 (* [Ok ()] when [t] digests to the recorded entry for [key]. *)
 let check table key t =

@@ -164,10 +164,90 @@ let test_scale_search_rejects_impossible () =
        in
        contains msg "tolerance")
 
+(* --- constant screen -------------------------------------------------- *)
+
+module Herr = Chet_hisa.Herr
+
+(* conv -> batch-norm -> activation -> fc, with every constant finite *)
+let constants_circuit () =
+  let st = Random.State.make [| 11 |] in
+  let b = Circuit.builder () in
+  let x = Circuit.input b ~name:"x" [| 2; 8; 8 |] in
+  let x =
+    Circuit.conv2d b x ~weights:(Chet_tensor.Dataset.glorot st [| 4; 2; 3; 3 |])
+      ~bias:(Array.make 4 0.1) ~stride:1 ~padding:T.Same ()
+  in
+  let x = Circuit.batch_norm b x ~scale:(Array.make 4 0.9) ~shift:(Array.make 4 0.05) in
+  let x = Circuit.poly_act b x ~a:0.1 ~b:1.0 in
+  let x = Circuit.flatten b x in
+  let x = Circuit.matmul b x ~weights:(Chet_tensor.Dataset.glorot st [| 3; 256 |]) () in
+  Circuit.finish b ~name:"constants" ~output:x
+
+let node_of circuit pick = List.find pick (Circuit.topo_order circuit)
+
+(* [poison circuit] makes one constant non-finite and returns the node
+   that holds it; compiling must then raise the typed blowup there. *)
+let expect_blowup poison () =
+  let circuit = constants_circuit () in
+  let node = poison circuit in
+  match Compiler.compile seal_opts circuit with
+  | _ -> Alcotest.fail "compiled a circuit with a non-finite constant"
+  | exception Herr.Fhe_error (Herr.Numeric_blowup { value; _ }, ctx) ->
+      Alcotest.(check bool) "non-finite value reported" false (Float.is_finite value);
+      Alcotest.(check (option int)) "node id" (Some node.Circuit.id) ctx.Herr.node_id;
+      Alcotest.(check (option string)) "layer" (Some (Chet_runtime.Plan.op_name node)) ctx.Herr.layer
+
+(* every compile analyses the All_chw policy, where conv weights enter as
+   plaintext vectors: the case only an encode-time screen used to catch *)
+let nan_conv_weight circuit =
+  let node = node_of circuit (fun n -> match n.Circuit.op with Circuit.Conv2d _ -> true | _ -> false) in
+  (match node.Circuit.op with
+  | Circuit.Conv2d { weights; _ } -> weights.T.data.(7) <- Float.nan
+  | _ -> assert false);
+  node
+
+let inf_conv_bias circuit =
+  let node = node_of circuit (fun n -> match n.Circuit.op with Circuit.Conv2d _ -> true | _ -> false) in
+  (match node.Circuit.op with
+  | Circuit.Conv2d { bias = Some bias; _ } -> bias.(2) <- Float.infinity
+  | _ -> assert false);
+  node
+
+let nan_bn_shift circuit =
+  let node = node_of circuit (fun n -> match n.Circuit.op with Circuit.BatchNorm _ -> true | _ -> false) in
+  (match node.Circuit.op with
+  | Circuit.BatchNorm { shift; _ } -> shift.(1) <- Float.nan
+  | _ -> assert false);
+  node
+
+let test_finite_constants_compile () =
+  ignore (Compiler.compile seal_opts (constants_circuit ()));
+  ignore (Compiler.compile { seal_opts with Compiler.sentinel = true } (constants_circuit ()))
+
+(* --- compile golden --------------------------------------------------- *)
+
+(* Every compile decision (policy, params, rotation multiset, op counters,
+   each policy's cost bit for bit) of micro and the zoo, both targets,
+   sentinels off and on, against test/data/compile_models.golden. *)
+let test_compile_golden () =
+  let golden = Golden.load "data/compile_models.golden" in
+  List.iter
+    (fun case ->
+      let key = Golden.compile_key case in
+      match Hashtbl.find_opt golden key with
+      | None -> Alcotest.failf "%s: no golden entry" key
+      | Some want -> Alcotest.(check string) key want (Golden.compile_output case))
+    Golden.compile_cases
+
 let suite =
   [
     ( "compiler",
       [
+        Alcotest.test_case "finite constants compile" `Quick test_finite_constants_compile;
+        Alcotest.test_case "NaN CHW conv weight -> Numeric_blowup" `Quick (expect_blowup nan_conv_weight);
+        Alcotest.test_case "Inf conv bias -> Numeric_blowup" `Quick (expect_blowup inf_conv_bias);
+        Alcotest.test_case "NaN batch-norm shift -> Numeric_blowup" `Quick (expect_blowup nan_bn_shift);
+        Alcotest.test_case "compile decisions match golden" `Quick test_compile_golden;
         Alcotest.test_case "params: SEAL micro" `Quick test_params_seal_micro;
         Alcotest.test_case "params: HEAAN micro" `Quick test_params_heaan_micro;
         Alcotest.test_case "params grow with depth" `Quick test_params_grow_with_depth;
